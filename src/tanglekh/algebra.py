@@ -50,9 +50,42 @@ class Rationals:
         return "Q"
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic for
+# every n below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic primality test for n < 3.3e24; larger n are refused."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large: primality is certified only "
+                         f"below {_MR_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     def __init__(self, p):
-        if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

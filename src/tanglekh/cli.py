@@ -14,8 +14,9 @@ import json
 import sys
 
 from .algebra import field_from_name
-from .complex import ComplexError, build_complex, homology
-from .diagram import TangleDiagram, validate
+from .complex import (ComplexError, build_complex, homology,
+                      verify_d_squared)
+from .diagram import PlanarTangleSpec, TangleDiagram, _label, validate
 from .ingest import (CurveSet, GenericityError, build_filtration,
                      critical_radii, events_json, project_and_detect,
                      sample_grades)
@@ -103,12 +104,14 @@ def cmd_oracle(args):
                           sign_flip=sign_flip)
     except ComplexError as e:
         raise SystemExit2(str(e))
-    h = homology(c, representatives=False)
-    lhs = jones_from_homology(h)
+    # homology ranks assume d^2 = 0, so a broken complex has no homology side
+    ok, where = verify_d_squared(c)
+    lhs = (jones_from_homology(homology(c, representatives=False)) if ok
+           else f"undefined, d^2 != 0 at (p, column) = {where}")
     rhs = state_sum(d)
     print(f"homology side: {lhs}")
     print(f"state sum:     {rhs}")
-    if lhs == rhs:
+    if ok and lhs == rhs:
         print("MATCH")
         return 0
     print("MISMATCH")
@@ -117,23 +120,44 @@ def cmd_oracle(args):
 
 def filtration_from_json(data, functor="G", field=None):
     diagrams = [TangleDiagram.from_json(d) for d in data["diagrams"]]
-    steps = []
-    for i, raw in enumerate(data.get("steps", ())):
+    steps = [_step_from_json(i, raw, diagrams)
+             for i, raw in enumerate(data.get("steps", ()))]
+    return Filtration(grades=list(data["grades"]), diagrams=diagrams,
+                      steps=steps, functor=functor, field=field)
+
+
+def _step_from_json(i, raw, diagrams):
+    """One filtration step, with JSON node labels turned into tuples."""
+    try:
         kind = raw["kind"]
         if kind == "closure" and "component_map" in raw:
             cm = raw["component_map"]
-            arc_images = tuple(
-                (img[0], img[1]) if img[0] != "port" else tuple(img)
-                for img in cm.get("arcs", ()))
             spec = ClosureMorphismSpec(
                 source=diagrams[i], target=diagrams[i + 1],
-                arc_images=arc_images,
+                arc_images=tuple(_label(img) for img in cm.get("arcs", ())),
                 circle_images=tuple(cm.get("circles", ())))
-            steps.append({"kind": "closure", "spec": spec})
-        else:
-            steps.append(raw)
-    return Filtration(grades=list(data["grades"]), diagrams=diagrams,
-                      steps=steps, functor=functor, field=field)
+            return {"kind": "closure", "spec": spec}
+        if kind == "closure":
+            op = raw["op"]
+            return {"kind": "closure", "op": PlanarTangleSpec(
+                inner_boundary=[_label(x) for x in op["inner_boundary"]],
+                outer_boundary=[_label(x)
+                                for x in op.get("outer_boundary", ())],
+                arcs=[_pair(a) for a in op.get("arcs", ())],
+                circles=int(op.get("circles", 0)))}
+        if kind == "saddle":
+            site = tuple(_pair(pair) for pair in raw["site"]["from"])
+            if len(site) != 2:
+                raise ValueError("a saddle site is two connections")
+            return {**raw, "site": {**raw["site"], "from": site}}
+        return dict(raw)
+    except (KeyError, IndexError, TypeError, ValueError) as e:
+        raise SystemExit2(f"step {i}: malformed step {raw!r}: {e!r}")
+
+
+def _pair(x):
+    a, b = x
+    return _label(a), _label(b)
 
 
 def cmd_persist(args):

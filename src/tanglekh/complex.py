@@ -48,8 +48,13 @@ class GradedChainComplex:
     def q_blocks(self, p):
         """Generator indices at degree p grouped by quantum grading."""
         out = {}
-        for i in range(self.dim(p)):
-            out.setdefault(self.q_of(p, i), []).append(i)
+        q_of_labels = {}   # many states share a labeling
+        for i, g in enumerate(self.basis.get(p, ())):
+            q = q_of_labels.get(g.labels)
+            if q is None:
+                q = q_of_labels[g.labels] = phi(g.labels, p, self.n_plus,
+                                                self.n_minus)
+            out.setdefault(q, []).append(i)
         return out
 
     def differential_column(self, p, i):
@@ -189,88 +194,55 @@ class BigradedHomology:
         }
 
 
-def _block_columns(c, p, q_blocks_p, q_blocks_next, q):
-    """Columns of d^p restricted to the q block, in local row indices."""
-    rows = {g: k for k, g in enumerate(q_blocks_next.get(q, ()))}
-    cols = []
-    for i in q_blocks_p.get(q, ()):
-        col = c.differential_column(p, i)
-        cols.append({rows[j]: v for j, v in col.items()})
-    return cols, rows
-
-
 def homology(c: GradedChainComplex, representatives=True) -> BigradedHomology:
-    """Bigraded homology ranks with reduced kernel representatives."""
+    """Bigraded homology ranks, with cocycle representatives on request.
+
+    Rank first: dim H^{p,q} = dim C^{p,q} - rk d^p_q - rk d^{p-1}_q, and
+    each block d^p_q is eliminated once, untracked, in degree order.  A
+    column whose index is a pivot row of the reduced block d^{p-1}_q
+    reduces to zero and is skipped (clearing, Chen-Kerber).  Blocks with
+    H^{p,q} != 0 are eliminated once more with coordinate tracking when
+    ``representatives`` is set: the columns that reduce to zero without
+    being cleared give cocycles that form a basis of H^{p,q}, because
+    their highest coordinates are distinct from the pivot rows of the
+    image and from each other.
+    """
     f = c.field
-    use_bits = (f == GF2)
     ranks = {}
     reps = {}
-
     blocks = {p: c.q_blocks(p) for p in c.degrees}
+    cleared = {}   # q -> pivot rows of d^{p-1}_q, as indices into block q
     for p in c.degrees:
-        qb = blocks[p]
-        qb_next = blocks.get(p + 1, {})
-        qb_prev = blocks.get(p - 1, {})
-        for q, gens in qb.items():
-            cols, _ = _block_columns(c, p, qb, qb_next, q)
-            # image of the previous differential, in degree-p global indices
-            img = []
-            for i in qb_prev.get(q, ()):
-                col = c.differential_column(p - 1, i)
-                if col:
-                    img.append(col)
-
-            if use_bits:
-                # augmented elimination: aug bit j marks block column j,
-                # which is also the j-th block generator
-                kernel = []
-                pivots = {}
-                for jidx, col in enumerate(cols):
-                    v = linalg.pack(col)
-                    aug = 1 << jidx
-                    while v:
-                        hit = pivots.get(v & -v)
-                        if hit is None:
-                            break
-                        v ^= hit[0]
-                        aug ^= hit[1]
-                    if v:
-                        pivots[v & -v] = (v, aug)
-                    else:
-                        kernel.append(aug)
-                img_red = linalg.ColumnReducer2()
-                local = {g: k for k, g in enumerate(gens)}
-                for col in img:
-                    img_red.add(linalg.pack({local[j]: 1 for j in col}))
-                block_reps = []
-                for aug in kernel:
-                    res = img_red.add(aug)
-                    if res:
-                        block_reps.append(
-                            {gens[k]: f.one
-                             for k in linalg.unpack(res, f)})
-                h = len(block_reps)
-            else:
-                kernel = linalg.kernel_basis(cols, f)
-                img_red = linalg.ColumnReducer(f)
-                for col in img:
-                    img_red.add(col)
-                block_reps = []
-                for kvec in kernel:
-                    chain = {}
-                    for jidx, coeff in kvec.items():
-                        g = gens[jidx]
-                        chain[g] = f.add(chain.get(g, f.zero), coeff)
-                    chain = {k: v for k, v in chain.items() if v != f.zero}
-                    res, _ = img_red.add(chain)
-                    if res:
-                        block_reps.append(res)
-                h = len(block_reps)
-
+        cols = c.differentials[p]
+        nxt = blocks.get(p + 1, {})
+        pivots = {}
+        for q, gens in blocks[p].items():
+            skip = cleared.get(q, ())
+            rows = {g: k for k, g in enumerate(nxt.get(q, ()))}
+            live = [(k, {rows[j]: x for j, x in cols[i].items()})
+                    for k, i in enumerate(gens) if k not in skip]
+            red = linalg.reducer(f)
+            for _, col in live:
+                red.add(red.load(col))
+            pivots[q] = red.pivot_rows()
+            h = len(live) - red.rank
             if h:
                 ranks[(p, q)] = h
                 if representatives:
-                    reps[(p, q)] = block_reps
+                    reps[(p, q)] = _cocycles(f, gens, live)
+        cleared = pivots
 
     return BigradedHomology(field=f, n_plus=c.n_plus, n_minus=c.n_minus,
                             ranks=ranks, representatives=reps, complex=c)
+
+
+def _cocycles(f, gens, live):
+    """Tracked elimination of one block: the uncleared columns that
+    reduce to zero, as chain vectors over the global indices ``gens``."""
+    red = linalg.reducer(f, ncoords=len(gens))
+    out = []
+    for k, col in live:
+        v = red.add(red.load(col, key=k))
+        if red.is_zero(v):
+            out.append({gens[j]: x for j, x in red.coords(v).items()})
+    return out

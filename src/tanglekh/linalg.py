@@ -1,93 +1,287 @@
-"""Exact sparse column elimination over a field.
+"""Exact sparse column elimination: one reducer, specialised by field.
 
-Vectors are dicts {row index: coefficient}; a matrix is a list of column
-vectors.  Pivots are chosen as the smallest row index so reductions are
-reproducible.  A bit-packed GF(2) variant is used for large complexes.
+Each backend keeps an incremental column echelon form in its own column
+format:
+
+- ``F2Reducer``: a column is a Python int, bit r set for row r;
+- ``FpReducer``: a column is a dict {row: int mod p}, stored with pivot 1;
+- ``QReducer``: a column is a dict {row: int}; elimination is fraction
+  free (a*v - b*col) and stored columns are divided by their content, so
+  no ``Fraction`` arithmetic happens while reducing.
+
+All three take the highest nonzero row of a column as its pivot, so that
+columns added in index order obey the clearing lemma used by
+``complex.homology``.  Coordinates are tracked by augmentation: a column
+loaded with ``key=k`` carries coordinate k in rows below the real ones
+(negative dict keys, or the low ``ncoords`` bits over F2).  After any
+reduction the real part of a column equals the sum, over its coordinates,
+of coordinate times loaded column, modulo the columns loaded without a key.
+
+``load`` turns a field-valued dict into backend format; ``coords`` (and
+``rows`` for the dict backends) turn the coordinate (and real) part back
+into field values.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 
-class ColumnReducer:
-    """Incremental column echelon form with optional coordinate tracking."""
+from .algebra import GF2
 
-    def __init__(self, field, track=False):
-        self.field = field
-        self.track = track
-        self.pivots = {}   # pivot row -> (column, coords)
-        self.count = 0     # columns added (for coordinate indexing)
+
+class F2Reducer:
+    """GF(2) echelon with columns as Python ints (bit i = row i)."""
+
+    __slots__ = ("pivots", "rank", "shift")
+
+    def __init__(self, ncoords=0):
+        self.pivots = {}      # bit length of the column -> column
+        self.rank = 0
+        self.shift = ncoords  # real row r is bit r + shift
+
+    def load(self, vec, key=None):
+        v = pack(vec) << self.shift
+        return v if key is None else v | 1 << key
+
+    def reduce(self, v):
+        pivots, shift = self.pivots, self.shift
+        while True:
+            top = v.bit_length()
+            if top <= shift:
+                return v
+            col = pivots.get(top)
+            if col is None:
+                return v
+            v ^= col
+
+    def add(self, v):
+        """Reduce and, if the real part is nonzero, store.  Returns the
+        reduced column."""
+        v = self.reduce(v)
+        top = v.bit_length()
+        if top > self.shift:
+            self.pivots[top] = v
+            self.rank += 1
+        return v
+
+    def is_zero(self, v):
+        return v.bit_length() <= self.shift
+
+    def pivot_rows(self):
+        return {top - 1 - self.shift for top in self.pivots}
+
+    def coords(self, v):
+        return unpack(v & ((1 << self.shift) - 1), GF2)
+
+
+class _DictReducer:
+    """Shared parts of the dict backends: coordinate k is row ~k = -1-k."""
+
+    __slots__ = ("pivots", "rank")
+
+    def __init__(self):
+        self.pivots = {}   # pivot row -> stored column
         self.rank = 0
 
-    def reduce(self, vec):
-        """Reduce ``vec`` against the stored columns.
+    def is_zero(self, v):
+        return not v or max(v) < 0
 
-        Returns ``(residual, coords)`` where coords expresses the removed
-        part over previously added columns (only if tracking).
-        """
-        f = self.field
-        v = dict(vec)
-        coords = {} if self.track else None
+    def pivot_rows(self):
+        return set(self.pivots)
+
+    def rows(self, v):
+        return {r: self._value(x) for r, x in v.items() if r >= 0}
+
+    def coords(self, v):
+        return {~r: self._value(x) for r, x in v.items() if r < 0}
+
+    def add(self, v):
+        v = self.reduce(v)
+        if v:
+            top = max(v)
+            if top >= 0:
+                v = self._normalize(v, top)
+                self.pivots[top] = v
+                self.rank += 1
+        return v
+
+
+class FpReducer(_DictReducer):
+    """Echelon form over F_p for a prime p (p = 2 included)."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def load(self, vec, key=None):
+        p = self.p
+        v = {r: y for r, x in vec.items() if (y := x % p)}
+        if key is not None:
+            v[~key] = 1
+        return v
+
+    def reduce(self, v):
+        p, pivots = self.p, self.pivots
         while v:
-            piv = min(v)
-            hit = self.pivots.get(piv)
-            if hit is None:
-                break
-            col, ccoords = hit
-            factor = f.mul(v[piv], f.inv(col[piv]))
-            for r, c in col.items():
-                nv = f.sub(v.get(r, f.zero), f.mul(factor, c))
-                if nv == f.zero:
-                    v.pop(r, None)
+            top = max(v)
+            col = pivots.get(top)
+            if col is None:
+                return v
+            b = v[top]
+            for r, x in col.items():
+                y = (v.get(r, 0) - b * x) % p
+                if y:
+                    v[r] = y
                 else:
-                    v[r] = nv
-            if self.track:
-                for idx, c in ccoords.items():
-                    nc = f.add(coords.get(idx, f.zero), f.mul(factor, c))
-                    if nc == f.zero:
-                        coords.pop(idx, None)
-                    else:
-                        coords[idx] = nc
-        return v, coords
+                    del v[r]
+        return v
 
-    def add(self, vec):
-        """Reduce and, if independent, store.  Returns (residual, coords)."""
-        residual, coords = self.reduce(vec)
-        idx = self.count
-        self.count += 1
-        if residual:
-            stored_coords = None
-            if self.track:
-                # invariant: stored column = sum(coords[j] * added_vec_j)
-                stored_coords = {j: self.field.neg(c)
-                                 for j, c in coords.items()}
-                stored_coords[idx] = self.field.one
-            self.pivots[min(residual)] = (residual, stored_coords)
-            self.rank += 1
-        return residual, coords
+    def _normalize(self, v, top):
+        inv = pow(v[top], -1, self.p)
+        if inv == 1:
+            return v
+        p = self.p
+        return {r: x * inv % p for r, x in v.items()}
+
+    @staticmethod
+    def _value(x):
+        return x
+
+
+class QReducer(_DictReducer):
+    """Fraction-free echelon form over Q on Python ints."""
+
+    __slots__ = ()
+
+    def load(self, vec, key=None):
+        den = lcm(*(x.denominator for x in vec.values()))
+        if den == 1:
+            v = {r: x.numerator for r, x in vec.items() if x}
+        else:
+            v = {r: x.numerator * (den // x.denominator)
+                 for r, x in vec.items() if x}
+        if key is not None:
+            v[~key] = den
+        return v
+
+    def reduce(self, v):
+        pivots = self.pivots
+        while v:
+            top = max(v)
+            col = pivots.get(top)
+            if col is None:
+                return v
+            a, b = col[top], v[top]
+            scaled = False
+            if a != 1:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    for r in v:
+                        v[r] *= a
+                    scaled = True
+            for r, x in col.items():
+                y = v.get(r, 0) - b * x
+                if y:
+                    v[r] = y
+                else:
+                    del v[r]
+            if scaled and v:
+                g = gcd(*v.values())
+                if g != 1:
+                    for r in v:
+                        v[r] //= g
+        return v
+
+    @staticmethod
+    def _normalize(v, top):
+        g = gcd(*v.values())
+        if v[top] < 0:
+            g = -g
+        return v if g == 1 else {r: x // g for r, x in v.items()}
+
+    @staticmethod
+    def _value(x):
+        return Fraction(x)
+
+
+def reducer(field, ncoords=0):
+    """An empty echelon form over ``field``.  ``ncoords`` bounds the
+    coordinate keys that loaded columns may carry (needed by F2 only)."""
+    if field.char == 2:
+        return F2Reducer(ncoords)
+    if field.char:
+        return FpReducer(field.p)
+    return QReducer()
 
 
 def rank(columns, field) -> int:
-    red = ColumnReducer(field)
+    red = reducer(field)
     for col in columns:
-        red.add(col)
+        red.add(red.load(col))
     return red.rank
 
 
 def kernel_basis(columns, field):
     """Coefficient vectors (over column indices) spanning the kernel."""
-    red = ColumnReducer(field, track=True)
+    red = reducer(field, ncoords=len(columns))
     out = []
     for i, col in enumerate(columns):
-        residual, coords = red.add(col)
-        if not residual:
-            vec = {j: field.neg(c) for j, c in coords.items()}
-            vec[i] = field.one
-            out.append(vec)
+        v = red.add(red.load(col, key=i))
+        if red.is_zero(v):
+            out.append(red.coords(v))
     return out
 
 
-def scale(vec, c, field):
-    return {r: field.mul(c, x) for r, x in vec.items()}
+class ColumnReducer:
+    """Incremental column echelon form over field-valued dict columns,
+    with optional coordinate tracking over the columns added so far."""
+
+    def __init__(self, field, track=False):
+        self.field = field
+        self.track = track
+        # dict backends: the number of coordinates is not known up front
+        self._red = FpReducer(field.p) if field.char else QReducer()
+        self.count = 0     # columns added (for coordinate indexing)
+
+    @property
+    def rank(self):
+        return self._red.rank
+
+    def reduce(self, vec):
+        """Reduce ``vec`` against the stored columns.
+
+        Returns ``(residual, coords)``: ``vec - residual`` equals the sum
+        of coords[j] times the j-th added column (coords only if
+        tracking).
+        """
+        return self._split(self._red.reduce(self._load(vec)))
+
+    def add(self, vec):
+        """Reduce and, if independent, store.  Returns (residual, coords)."""
+        out = self._split(self._red.add(self._load(vec)))
+        self.count += 1
+        return out
+
+    def _load(self, vec):
+        # the column itself is coordinate ``count``; its coefficient is the
+        # scale the Q backend has applied to it
+        return self._red.load(vec, key=self.count)
+
+    def _split(self, v):
+        f, red = self.field, self._red
+        coords = red.coords(v)
+        own = f.inv(coords.pop(self.count))
+        neg = f.neg(own)
+        return ({r: f.mul(own, x) for r, x in red.rows(v).items()},
+                {j: f.mul(neg, x) for j, x in coords.items()}
+                if self.track else None)
+
+
+ColumnReducer2 = F2Reducer
 
 
 def add_into(acc, vec, c, field):
@@ -111,35 +305,6 @@ def matvec(columns, vec, field):
 def matmul(a_columns, b_columns, field):
     """Compose: result column j = A applied to B's column j."""
     return [matvec(a_columns, col, field) for col in b_columns]
-
-
-# -- GF(2) bit-packed variant --------------------------------------------
-
-
-class ColumnReducer2:
-    """GF(2) echelon with columns as Python ints (bit i = row i)."""
-
-    __slots__ = ("pivots", "rank")
-
-    def __init__(self):
-        self.pivots = {}
-        self.rank = 0
-
-    def reduce(self, v):
-        while v:
-            piv = v & -v
-            col = self.pivots.get(piv)
-            if col is None:
-                return v
-            v ^= col
-        return v
-
-    def add(self, v):
-        v = self.reduce(v)
-        if v:
-            self.pivots[v & -v] = v
-            self.rank += 1
-        return v
 
 
 def pack(vec):

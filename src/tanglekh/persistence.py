@@ -256,14 +256,27 @@ def _span(c: GradedChainComplex, state):
 # -- cobordism generator maps (link mode) --------------------------------
 
 
-def cap_map(c: GradedChainComplex):
-    """x -> x (x) v+ into the complex of the diagram plus one circle."""
+def _target(c: GradedChainComplex, d2: TangleDiagram, dst, kind):
+    """``dst`` if it is the complex of ``d2`` over c's functor and field;
+    built afresh when None."""
+    if dst is None:
+        return build_complex(d2, functor=c.functor, field=c.field)
+    if (dst.diagram != d2 or dst.functor != c.functor
+            or dst.field != c.field):
+        raise MorphismError(f"{kind} target mismatch")
+    return dst
+
+
+def cap_map(c: GradedChainComplex, dst=None):
+    """x -> x (x) v+ into the complex of the diagram plus one circle.
+
+    ``dst`` is that complex, when the caller has already built it."""
     if c.diagram.boundary:
         raise MorphismError("cap map is defined in link mode only")
     d2 = TangleDiagram(boundary=(), crossings=c.diagram.crossings,
                        connections=c.diagram.connections,
                        free_circles=c.diagram.free_circles + 1)
-    dst = build_complex(d2, functor=c.functor, field=c.field)
+    dst = _target(c, d2, dst, "cap")
     one = c.field.one
     columns = {}
     for p, gens in c.basis.items():
@@ -275,8 +288,10 @@ def cap_map(c: GradedChainComplex):
     return ChainMap(src=c, dst=dst, columns=columns, q_shift=1)
 
 
-def cup_map(c: GradedChainComplex, circle_index=-1):
-    """x (x) v+ -> 0, x (x) v- -> x, deleting one crossing-free circle."""
+def cup_map(c: GradedChainComplex, circle_index=-1, dst=None):
+    """x (x) v+ -> 0, x (x) v- -> x, deleting one crossing-free circle.
+
+    ``dst`` is the complex without that circle, when already built."""
     if c.diagram.free_circles < 1:
         raise MorphismError("cup map needs a crossing-free circle")
     circle_index = range(c.diagram.free_circles)[circle_index]
@@ -284,7 +299,7 @@ def cup_map(c: GradedChainComplex, circle_index=-1):
                        crossings=c.diagram.crossings,
                        connections=c.diagram.connections,
                        free_circles=c.diagram.free_circles - 1)
-    dst = build_complex(d2, functor=c.functor, field=c.field)
+    dst = _target(c, d2, dst, "cup")
     one = c.field.one
     columns = {}
     for p, gens in c.basis.items():
@@ -436,40 +451,58 @@ def induced_on_homology(f: ChainMap, h_src: BigradedHomology,
     """Matrices of the induced map per homological degree.
 
     Columns follow ``rep_order(h_src, p)``, rows ``rep_order(h_dst, p)``.
+    The image of a source representative at (p, q) lies in the target
+    block (p, q + q_shift); it is solved there against the image of
+    d^{p-1} (untracked) and the target representatives (tracked).
     """
     field = f.src.field
     out = {}
-    degrees = sorted(set(h_src.degrees) | set(h_dst.degrees))
-    for p in degrees:
-        dst_order = rep_order(h_dst, p)
-        solver = linalg.ColumnReducer(field, track=True)
-        n_img = 0
-        prev = f.dst.differentials.get(p - 1, [])
-        for col in prev:
-            if col:
-                solver.add(col)
-                n_img += 1
-        rep_pos = {}
-        for k, (q, j) in enumerate(dst_order):
-            solver.add(h_dst.representatives[(p, q)][j])
-            rep_pos[n_img + k] = k
-
+    for p in sorted(set(h_src.degrees) | set(h_dst.degrees)):
+        row_of = {qj: k for k, qj in enumerate(rep_order(h_dst, p))}
+        blocks = None
+        solvers = {}
         cols = []
         for (q, j) in rep_order(h_src, p):
-            z = h_src.representatives[(p, q)][j]
-            fz = f.apply(p, z)
-            residual, coords = solver.reduce(fz)
-            if residual:
-                raise MorphismError(
-                    f"image of a cocycle is not a cocycle at p={p}")
+            fz = f.apply(p, h_src.representatives[(p, q)][j])
             col = {}
-            for idx, c in coords.items():
-                k = rep_pos.get(idx)
-                if k is not None and c != field.zero:
-                    col[k] = c
+            if fz:
+                t = q + f.q_shift
+                if t not in solvers:
+                    if blocks is None:
+                        blocks = (f.dst.q_blocks(p - 1), f.dst.q_blocks(p))
+                    solvers[t] = _block_solver(f.dst, h_dst, p, t, blocks)
+                red, local, own = solvers[t]
+                v = red.reduce(red.load({local[i]: x for i, x in fz.items()},
+                                        key=own))
+                if not red.is_zero(v):
+                    raise MorphismError(
+                        f"image of a cocycle is not a cocycle at p={p}")
+                coords = red.coords(v)
+                # 0 = s*fz + sum_k c_k rep_k modulo the image of d^{p-1}
+                factor = field.neg(field.inv(coords.pop(own)))
+                col = {row_of[(t, k)]: field.mul(factor, c)
+                       for k, c in coords.items()}
             cols.append(col)
         out[p] = cols
     return out
+
+
+def _block_solver(c: GradedChainComplex, h: BigradedHomology, p, q, blocks):
+    """Echelon form of im d^{p-1} plus the representatives of H^{p,q},
+    in indices local to the (p, q) block of ``c``; ``blocks`` holds
+    ``c.q_blocks`` at p - 1 and p.  Returns (reducer, local index, own):
+    representative k carries coordinate k, and a column to solve is
+    loaded with coordinate ``own``."""
+    prev, here = blocks
+    local = {g: k for k, g in enumerate(here.get(q, ()))}
+    reps = h.representatives.get((p, q), ())
+    red = linalg.reducer(c.field, ncoords=len(reps) + 1)
+    for i in prev.get(q, ()):
+        red.add(red.load({local[j]: x for j, x in
+                          c.differential_column(p - 1, i).items()}))
+    for k, z in enumerate(reps):
+        red.add(red.load({local[i]: x for i, x in z.items()}, key=k))
+    return red, local, len(reps)
 
 
 @dataclass
@@ -598,8 +631,11 @@ class Filtration:
     """An ordered sequence of diagrams joined by morphism steps.
 
     Steps are dicts: {"kind": "identity" | "closure" | "cap" | "cup" |
-    "saddle" | "break", ...}.  A "break" severs the sequence into runs
-    (no induced map is defined across it).
+    "saddle" | "break", ...}.  A closure step carries a
+    ``ClosureMorphismSpec`` as "spec" or a ``PlanarTangleSpec`` as "op";
+    a saddle step carries {"site": {"from": ((a, b), (c, d))}}.  A
+    "break" severs the sequence into runs (no induced map is defined
+    across it).
     """
 
     def __init__(self, grades, diagrams, steps, functor="G", field=None):
@@ -618,47 +654,35 @@ class Filtration:
         self._runs = None
 
     def _chain_map(self, i, src, dst):
-        from .diagram import PlanarTangleSpec, apply_planar
+        from .diagram import apply_planar
         step = self.steps[i]
         kind = step["kind"]
-        if kind == "identity":
-            return build_psi(src, dst,
-                             ClosureMorphismSpec.identity(src.diagram))
-        if kind == "closure":
-            if "spec" in step:
-                try:
+        try:
+            if kind == "identity":
+                return build_psi(src, dst,
+                                 ClosureMorphismSpec.identity(src.diagram))
+            if kind == "closure":
+                if "spec" in step:
                     return build_psi(src, dst, step["spec"])
-                except MorphismError as e:
-                    raise MorphismError(f"step {i}: {e}")
-            op = step["op"]
-            if not isinstance(op, PlanarTangleSpec):
-                op = PlanarTangleSpec(
-                    inner_boundary=op["inner_boundary"],
-                    outer_boundary=op.get("outer_boundary", ()),
-                    arcs=[tuple(a) for a in op.get("arcs", ())],
-                    circles=op.get("circles", 0))
-            target, spec = apply_planar(op, src.diagram)
-            if target != dst.diagram:
-                raise MorphismError(
-                    f"step {i}: closure result does not match next diagram")
-            return build_psi(src, dst, spec)
-        if kind == "cap":
-            f = cap_map(src)
-            if f.dst.diagram != dst.diagram:
-                raise MorphismError(f"step {i}: cap target mismatch")
-            return ChainMap(src=src, dst=dst, columns=f.columns,
-                            q_shift=f.q_shift)
-        if kind == "cup":
-            f = cup_map(src, step.get("site", -1))
-            if f.dst.diagram != dst.diagram:
-                raise MorphismError(f"step {i}: cup target mismatch")
-            return ChainMap(src=src, dst=dst, columns=f.columns,
-                            q_shift=f.q_shift)
-        if kind == "saddle":
-            site = (tuple(step["site"]["from"][0]),
-                    tuple(step["site"]["from"][1]))
-            return saddle_map(src, dst, site)
-        raise MorphismError(f"unknown step kind {kind!r}")
+                try:
+                    target, spec = apply_planar(step["op"], src.diagram)
+                except ValueError as e:   # the operator is not valid here
+                    raise MorphismError(str(e)) from e
+                if target != dst.diagram:
+                    raise MorphismError(
+                        "closure result does not match next diagram")
+                return build_psi(src, dst, spec)
+            if kind == "cap":
+                return cap_map(src, dst=dst)
+            if kind == "cup":
+                return cup_map(src, step.get("site", -1), dst=dst)
+            if kind == "saddle":
+                site = (tuple(step["site"]["from"][0]),
+                        tuple(step["site"]["from"][1]))
+                return saddle_map(src, dst, site)
+        except MorphismError as e:
+            raise MorphismError(f"step {i}: {e}") from e
+        raise MorphismError(f"step {i}: unknown step kind {kind!r}")
 
     def runs(self):
         if self._runs is not None:

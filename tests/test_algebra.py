@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from tanglekh.algebra import (GF2, QQ, Generator, LaurentPolynomial,
                               PrimeField, Q_PLUS_QINV, field_from_name,
-                              local_map, phi, theta, unit_counit)
+                              is_prime, local_map, phi, theta, unit_counit)
 
 
 def test_field_from_name():
@@ -17,6 +18,26 @@ def test_field_from_name():
         field_from_name("gf9")
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(3000):
+        naive = n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+        assert is_prime(n) == naive, n
+
+
+def test_prime_field_large_moduli():
+    start = time.perf_counter()
+    f = PrimeField(2 ** 61 - 1)
+    assert time.perf_counter() - start < 0.1
+    assert f.mul(f.coerce(3), f.inv(f.coerce(3))) == f.one
+    # a Carmichael number, and a strong pseudoprime to bases 2, 3, 5, 7
+    for n in (561, 3215031751):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+    # 2^89 - 1 is prime, but above the certified bound
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2 ** 89 - 1)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))

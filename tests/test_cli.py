@@ -1,7 +1,9 @@
 import csv
 import json
 
+from tanglekh.algebra import QQ
 from tanglekh.cli import main
+from tanglekh.persistence import Filtration, saddle_target_diagram
 
 from conftest import braid_closure, braid_tangle, circle_polyline, kink_arc
 
@@ -71,6 +73,17 @@ def test_compute_rejects_unknown_field(tmp_path):
     assert main(["compute", path, "--field", "f9000x"]) == 2
 
 
+def test_compute_large_prime_field(tmp_path, capsys):
+    path = diagram_file(tmp_path, braid_closure([1, 1, 1], 2))
+    ranks = {}
+    for field in ("q", "fp:2305843009213693951"):
+        assert main(["compute", path, "--field", field]) == 0
+        ranks[field] = json.loads(capsys.readouterr().out)["ranks"]
+    assert ranks["fp:2305843009213693951"] == ranks["q"]
+    assert main(["compute", path, "--field", f"fp:{2 ** 89 - 1}"]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
 def test_oracle_match(tmp_path, capsys):
     for d in (kink_arc(-1), braid_closure([1], 2)):
         path = diagram_file(tmp_path, d)
@@ -115,6 +128,60 @@ def test_persist_invalid_spec_exit_2(tmp_path, capsys):
     path = write_json(tmp_path / "filt.json", filt)
     assert main(["persist", path]) == 2
     assert "step 0" in capsys.readouterr().err
+
+
+def test_persist_saddle_step(tmp_path, capsys):
+    """Saddle sites arrive as JSON lists and must come out hashable."""
+    d = braid_closure([1, 1, 1], 2)
+    site = (d.connections[0], d.connections[1])
+    d2 = saddle_target_diagram(d, site)
+    steps = [{"kind": "saddle", "site": {"from": [list(site[0]),
+                                                  list(site[1])]}}]
+    filt = {"grades": [0, 1], "diagrams": [d.to_json(), d2.to_json()],
+            "steps": steps}
+    path = write_json(tmp_path / "filt.json", filt)
+    assert main(["persist", path, "--field", "q"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    expect = Filtration(grades=[0, 1], diagrams=[d, d2], field=QQ,
+                        steps=[{"kind": "saddle",
+                                "site": {"from": site}}]).barcode_report()
+    assert rows == expect
+
+
+def test_persist_op_closure_step(tmp_path, capsys):
+    arc = {"boundary": ["a", "b"], "crossings": [],
+           "connections": [["a", "b"]], "free_circles": 0}
+    circle = {"boundary": [], "crossings": [], "connections": [],
+              "free_circles": 1}
+    op = {"inner_boundary": [["i", 0], ["i", 1]], "outer_boundary": [],
+          "arcs": [[["i", 0], ["i", 1]]]}
+    filt = {"grades": [0.0, 1.0], "diagrams": [arc, circle],
+            "steps": [{"kind": "closure", "op": op}]}
+    path = write_json(tmp_path / "filt.json", filt)
+    assert main(["persist", path, "--field", "q"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    inf = [(r["birth"], r["multiplicity"]) for r in rows
+           if r["death"] is None]
+    assert (0.0, 1) in inf and (1.0, 1) in inf
+
+
+def test_persist_malformed_steps_exit_2(tmp_path, capsys):
+    d = braid_closure([1, 1, 1], 2)
+    bad_steps = [
+        {"site": {"from": []}},                                # no kind
+        {"kind": "saddle", "site": {"from": [["a", "b"]]}},    # one pair
+        {"kind": "saddle"},                                    # no site
+        {"kind": "closure", "op": {"arcs": []}},               # no hole
+        {"kind": "closure", "op": {"inner_boundary": [], "arcs": [[1]]}},
+        {"kind": "closure", "op": {"inner_boundary": ["a", "b"],
+                                   "arcs": [["a", "b"]]}},     # hole size
+    ]
+    for step in bad_steps:
+        filt = {"grades": [0, 1], "diagrams": [d.to_json()] * 2,
+                "steps": [step]}
+        path = write_json(tmp_path / "filt.json", filt)
+        assert main(["persist", path]) == 2, step
+        assert "step 0" in capsys.readouterr().err
 
 
 def test_ingest_pipeline(tmp_path):

@@ -351,3 +351,26 @@ def test_saddle_step_in_filtration():
                       field=QQ)
     (run,) = filt.runs()
     assert run.chain_maps[0].q_shift == -1
+
+
+def test_cap_cup_filtration_builds_each_complex_once(monkeypatch):
+    import tanglekh.persistence as ps
+    built = []
+
+    def counting(d, **kwargs):
+        built.append(d)
+        return build_complex(d, **kwargs)
+
+    monkeypatch.setattr(ps, "build_complex", counting)
+    d = braid_closure([1, 1], 2)
+    up = TangleDiagram(crossings=d.crossings, connections=d.connections,
+                       free_circles=d.free_circles + 1)
+    filt = Filtration(grades=[0, 1, 2], diagrams=[d, up, d],
+                      steps=[{"kind": "cap"}, {"kind": "cup"}], field=QQ)
+    filt.barcode_report()
+    assert built == [d, up, d]
+    c = build_complex(d, field=QQ)
+    with pytest.raises(MorphismError, match="cap target mismatch"):
+        cap_map(c, dst=c)
+    with pytest.raises(MorphismError, match="cup target mismatch"):
+        cup_map(build_complex(up, field=QQ), dst=build_complex(up, field=QQ))
