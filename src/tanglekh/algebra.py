@@ -239,11 +239,6 @@ class LaurentPolynomial:
 Q_PLUS_QINV = LaurentPolynomial({1: 1, -1: 1})
 
 
-def qdim(graded_ranks) -> LaurentPolynomial:
-    """Graded dimension from a {degree: rank} map."""
-    return LaurentPolynomial(dict(graded_ranks))
-
-
 # -- generators and gradings ---------------------------------------------
 
 
@@ -292,6 +287,25 @@ ARC_SPLIT = {("w",): {("w", "-"): 1}}
 # arc absorbing a circle
 ARC_MERGE = {("w", "+"): {("w",): 1}, ("w", "-"): {}}
 
+# The five local saddle maps as {source labels: {target labels: coeff}}.
+# Active components are listed arcs first, then circles in component
+# order, with the shapes of SADDLE_SHAPES.
+SADDLE = {
+    "circle-merge": {(a, b): {(x,): c for x, c in MERGE[(a, b)].items()}
+                     for a, b in MERGE},
+    "circle-split": {(a,): SPLIT[a] for a in SPLIT},
+    "arc-split-circle": ARC_SPLIT,
+    "arc-circle-merge": ARC_MERGE,
+    "arc-arc-reconnect": {("w", "w"): {}},
+}
+SADDLE_SHAPES = {
+    "circle-merge": (("circle", "circle"), ("circle",)),
+    "circle-split": (("circle",), ("circle", "circle")),
+    "arc-split-circle": (("arc",), ("arc", "circle")),
+    "arc-circle-merge": (("arc", "circle"), ("arc",)),
+    "arc-arc-reconnect": (("arc", "arc"), ("arc", "arc")),
+}
+
 
 def _basis(shape):
     """Lexicographic labelings for a tuple of component kinds."""
@@ -311,31 +325,13 @@ def local_map(kind, functor="G"):
         raise ValueError(f"functor F is undefined on arc case {kind!r}")
     if functor not in ("F", "G"):
         raise ValueError(f"unknown functor {functor!r}")
-
-    if kind == "circle-merge":
-        src, dst = _basis(("circle", "circle")), _basis(("circle",))
-        table = {(a, b): {(x,): c for x, c in MERGE[(a, b)].items()}
-                 for a, b in src}
-    elif kind == "circle-split":
-        src, dst = _basis(("circle",)), _basis(("circle", "circle"))
-        table = {(a,): SPLIT[a] for (a,) in src}
-    elif kind == "arc-split-circle":
-        src, dst = _basis(("arc",)), _basis(("arc", "circle"))
-        table = ARC_SPLIT
-    elif kind == "arc-circle-merge":
-        src, dst = _basis(("arc", "circle")), _basis(("arc",))
-        table = ARC_MERGE
-    elif kind == "arc-arc-reconnect":
-        src, dst = _basis(("arc", "arc")), _basis(("arc", "arc"))
-        table = {("w", "w"): {}}
-    else:
+    if kind not in SADDLE:
         raise ValueError(f"unknown saddle kind {kind!r}")
 
-    entries = {}
-    for s, terms in table.items():
-        for t, c in terms.items():
-            entries[(t, s)] = c
-    return src, dst, entries
+    src_shape, dst_shape = SADDLE_SHAPES[kind]
+    entries = {(t, s): c for s, terms in SADDLE[kind].items()
+               for t, c in terms.items()}
+    return _basis(src_shape), _basis(dst_shape), entries
 
 
 def unit_counit():

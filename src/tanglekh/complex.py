@@ -7,12 +7,15 @@ differential preserves, so homology is computed per (p, q) block.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, lru_cache
 
 from . import linalg
-from .algebra import GF2, Generator, phi
-from .cube import EdgeDescriptor, classify_saddle, edge_sign, transfer_labels
+from .algebra import GF2, Generator
+from .cube import StateTable, classify, labels_of, mask_of, saddle_mask_map
 from .diagram import TangleDiagram, resolve, validate
 
 
@@ -22,39 +25,80 @@ class ComplexError(ValueError):
 
 @dataclass
 class GradedChainComplex:
+    """Generator i of degree p is (state, mask) with i = offset + mask,
+    where ``layout[state] = (p, offset)`` and mask is a bitmask over the
+    state's circles (see ``cube``).  States of one degree take consecutive
+    index ranges in lexicographic state order, so the basis is ordered by
+    state, then by labeling with '+' before '-'."""
+
     diagram: TangleDiagram
     functor: str
     field: object
     n_plus: int
     n_minus: int
-    basis: dict          # p -> list[Generator]
-    index: dict          # (state, labels) -> (p, i)
-    differentials: dict  # p -> list of column dicts into basis[p+1] indices
+    differentials: dict  # p -> list of column dicts into degree p+1 indices
     resolutions: dict    # state -> Resolution
+    layout: dict         # state -> (p, offset of the state's mask 0)
 
     @property
     def degrees(self):
-        return sorted(self.basis)
+        return sorted(self.differentials)
 
     def dim(self, p):
-        return len(self.basis.get(p, ()))
+        return len(self.differentials.get(p, ()))
 
     def total_dim(self):
-        return sum(len(b) for b in self.basis.values())
+        return sum(len(cols) for cols in self.differentials.values())
+
+    def span(self, state):
+        """(p, start, count) of the generators living over one state."""
+        p, off = self.layout[state]
+        return p, off, 1 << self.resolutions[state].r
+
+    @cached_property
+    def _states(self):
+        """p -> (offsets, states) in index order."""
+        out = {}
+        for state, (p, off) in self.layout.items():
+            offs, states = out.setdefault(p, ([], []))
+            offs.append(off)
+            states.append(state)
+        return out
+
+    def locate(self, p, i):
+        """(state, mask) of generator i at degree p."""
+        offs, states = self._states[p]
+        k = bisect.bisect_right(offs, i) - 1
+        return states[k], i - offs[k]
+
+    @property
+    def basis(self):
+        """p -> sequence of ``Generator``, decoded on demand."""
+        return {p: _DegreeBasis(self, p) for p in self.differentials}
+
+    @property
+    def index(self):
+        """(state, labels) -> (p, i), encoded on demand."""
+        return _Index(self)
+
+    def _q_base(self, state, p):
+        res = self.resolutions[state]
+        return p + self.n_plus - self.n_minus + res.r - res.t
 
     def q_of(self, p, i):
-        return phi(self.basis[p][i].labels, p, self.n_plus, self.n_minus)
+        state, mask = self.locate(p, i)
+        return self._q_base(state, p) - 2 * bin(mask).count("1")
 
     def q_blocks(self, p):
-        """Generator indices at degree p grouped by quantum grading."""
+        """Generator indices at degree p grouped by quantum grading:
+        q = p + n_plus - n_minus + r - t - 2 popcount(mask)."""
         out = {}
-        q_of_labels = {}   # many states share a labeling
-        for i, g in enumerate(self.basis.get(p, ())):
-            q = q_of_labels.get(g.labels)
-            if q is None:
-                q = q_of_labels[g.labels] = phi(g.labels, p, self.n_plus,
-                                                self.n_minus)
-            out.setdefault(q, []).append(i)
+        if p not in self.differentials:
+            return out
+        for off, state in zip(*self._states[p]):
+            q0 = self._q_base(state, p)
+            for k, masks in enumerate(_by_popcount(self.resolutions[state].r)):
+                out.setdefault(q0 - 2 * k, []).extend([off + m for m in masks])
         return out
 
     def differential_column(self, p, i):
@@ -62,15 +106,66 @@ class GradedChainComplex:
         return cols[i] if cols is not None else {}
 
 
-def _labelings(resolution):
-    choices = [("w",) if c.kind == "arc" else ("+", "-")
-               for c in resolution.components]
-    return itertools.product(*choices)
+@lru_cache(maxsize=None)
+def _by_popcount(r):
+    """The 2^r masks grouped by popcount 0..r, each group ascending."""
+    out = [[] for _ in range(r + 1)]
+    for m in range(1 << r):
+        out[bin(m).count("1")].append(m)
+    return out
+
+
+class _DegreeBasis(Sequence):
+    def __init__(self, c, p):
+        self._c, self._p = c, p
+
+    def __len__(self):
+        return self._c.dim(self._p)
+
+    def __getitem__(self, i):
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(i)
+        state, mask = self._c.locate(self._p, i)
+        return Generator(state=state,
+                         labels=labels_of(self._c.resolutions[state], mask))
+
+    def __iter__(self):
+        c = self._c
+        for state in c._states[self._p][1]:
+            res = c.resolutions[state]
+            for m in range(1 << res.r):
+                yield Generator(state=state, labels=labels_of(res, m))
+
+
+class _Index(Mapping):
+    def __init__(self, c):
+        self._c = c
+
+    def __getitem__(self, key):
+        state, labels = key
+        p, off = self._c.layout[state]
+        return p, off + mask_of(self._c.resolutions[state], labels)
+
+    def __iter__(self):
+        for gens in self._c.basis.values():
+            for g in gens:
+                yield g.state, g.labels
+
+    def __len__(self):
+        return self._c.total_dim()
 
 
 def build_complex(d: TangleDiagram, functor="G", field=GF2,
                   sign_flip=None) -> GradedChainComplex:
     """Assemble the cochain complex of ``d`` under the given functor.
+
+    Each cube edge is classified once; its saddle then fills the columns
+    of all 2^r source masks.  Distinct edges of a state reach distinct
+    target states and a split's two target masks differ, so every
+    (column, row) entry is a single signed term.
 
     ``sign_flip`` optionally names one edge ``(state, star)`` whose sign is
     negated; it exists purely as a corruption hook for self-tests.
@@ -83,59 +178,44 @@ def build_complex(d: TangleDiagram, functor="G", field=GF2,
     if functor not in ("F", "G"):
         raise ComplexError(f"unknown functor {functor!r}")
 
-    n, n_plus, n_minus = d.n, d.n_plus, d.n_minus
+    _, rank, _, ports = d.wiring()
+    n_minus = d.n_minus
     resolutions = {}
-    basis = {}
-    index = {}
-    state_span = {}
-    for state in itertools.product((0, 1), repeat=n):
+    layout = {}
+    tables = {}
+    dims = {}
+    for state in itertools.product((0, 1), repeat=d.n):
         res = resolve(d, state)
         resolutions[state] = res
         p = sum(state) - n_minus
-        bucket = basis.setdefault(p, [])
-        start = len(bucket)
-        for labels in _labelings(res):
-            index[(state, labels)] = (p, len(bucket))
-            bucket.append(Generator(state=state, labels=labels))
-        state_span[state] = (p, start, len(bucket) - start)
+        off = dims.get(p, 0)
+        layout[state] = (p, off)
+        dims[p] = off + (1 << res.r)
+        tables[state] = StateTable(res, rank)
 
     one = field.one
     neg_one = field.neg(one)
-    differentials = {p: [dict() for _ in gens] for p, gens in basis.items()}
+    differentials = {p: [{} for _ in range(k)] for p, k in dims.items()}
 
-    for state in resolutions:
-        res_s = resolutions[state]
-        p = sum(state) - n_minus
+    for state, src in tables.items():
+        p, off = layout[state]
         cols = differentials[p]
-        for star in range(n):
-            if state[star]:
+        ones = 0
+        for star, bit in enumerate(state):
+            if bit:
+                ones += 1
                 continue
-            e = EdgeDescriptor(source=state, star=star)
-            tgt_state = e.target
-            res_t = resolutions[tgt_state]
-            cls = classify_saddle(res_s, res_t, e, d)
-            sgn = edge_sign(e)
-            if sign_flip == (state, star):
-                sgn = -sgn
-            coeff = one if sgn > 0 else neg_one
-
-            _, start, count = state_span[state]
-            for gen_idx in range(start, start + count):
-                gen = basis[p][gen_idx]
-                col = cols[gen_idx]
-                for out2 in transfer_labels(cls, res_s, res_t, gen.labels):
-                    _, ti = index[(tgt_state, out2)]
-                    val = field.add(col.get(ti, field.zero), coeff)
-                    if val == field.zero:
-                        col.pop(ti, None)
-                    else:
-                        col[ti] = val
+            tgt_state = state[:star] + (1,) + state[star + 1:]
+            dst = tables[tgt_state]
+            cls = classify(src, dst, ports[star])
+            negative = (ones % 2 == 1) != (sign_flip == (state, star))
+            saddle_mask_map(cls, src.bits, dst.bits).fill(
+                cols, off, layout[tgt_state][1], neg_one if negative else one)
 
     return GradedChainComplex(
         diagram=d, functor=functor, field=field,
-        n_plus=n_plus, n_minus=n_minus,
-        basis=basis, index=index,
-        differentials=differentials, resolutions=resolutions)
+        n_plus=d.n_plus, n_minus=d.n_minus,
+        differentials=differentials, resolutions=resolutions, layout=layout)
 
 
 def verify_d_squared(c: GradedChainComplex):

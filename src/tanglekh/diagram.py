@@ -11,7 +11,7 @@ inputs are processed formally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # Smoothing convention, calibrated so that the one-crossing negative kink
@@ -67,18 +67,6 @@ class Resolution:
     r: int  # circles
     t: int  # arcs
 
-    def component_of(self, label):
-        for c in self.components:
-            if label in c.ports:
-                return c
-        raise KeyError(label)
-
-    def component_index_of(self, label):
-        for i, c in enumerate(self.components):
-            if label in c.ports:
-                return i
-        raise KeyError(label)
-
     @property
     def free_circle_indices(self):
         """Component indices of crossing-free circles, in canonical order."""
@@ -103,6 +91,7 @@ class TangleDiagram:
                 self._key[p] = (1, ci, pi)
         self.connections = self._normalize_connections(connections)
         self._port_set = {p for c in self.crossings for p in c.ports}
+        self._wiring = None
 
     def _normalize_connections(self, connections):
         pairs = []
@@ -136,6 +125,25 @@ class TangleDiagram:
         """Canonical order on labels: boundary endpoints first (by boundary
         position), then crossing ports (by crossing id, then port slot)."""
         return self._key[label]
+
+    def wiring(self):
+        """``(nodes, rank, adjacent, ports)``, computed once per diagram.
+
+        ``nodes`` lists the labels in canonical order and ``rank`` maps a
+        label to its position there.  ``adjacent[k]`` holds the ranks of
+        the connection partners of node k, and ``ports[i]`` the ranks of
+        crossing i's four ports.
+        """
+        if self._wiring is None:
+            nodes = sorted(self._key, key=self._key.__getitem__)
+            rank = {x: k for k, x in enumerate(nodes)}
+            adjacent = [[] for _ in nodes]
+            for a, b in self.connections:
+                adjacent[rank[a]].append(rank[b])
+                adjacent[rank[b]].append(rank[a])
+            ports = [tuple(rank[x] for x in c.ports) for c in self.crossings]
+            self._wiring = (nodes, rank, adjacent, ports)
+        return self._wiring
 
     def portless_arcs(self):
         """Connection pairs joining two boundary endpoints directly, in
@@ -241,72 +249,54 @@ def validate(d: TangleDiagram) -> ValidationReport:
 # -- resolving states ----------------------------------------------------
 
 
-def smoothing_pairs(crossing: Crossing, bit: int):
-    scheme = SMOOTH_1 if bit else SMOOTH_0
-    return tuple((crossing.ports[i], crossing.ports[j]) for i, j in scheme)
-
-
 def resolve(d: TangleDiagram, state) -> Resolution:
     """Replace every crossing by its smoothing and trace components.
 
     ``state`` gives one bit per crossing in ascending crossing-id order.
     Components come out in canonical order: sorted by their smallest
-    member label, free circles last.
+    member label, free circles last.  A walk starts at the smallest
+    unvisited node and always steps to the smallest unvisited neighbour,
+    comparing nodes by their rank in ``d.wiring()``.
     """
     state = tuple(int(b) for b in state)
     if len(state) != d.n:
         raise ValueError(f"state length {len(state)} != {d.n} crossings")
 
-    adj = {}
-    for b in d.boundary:
-        adj[b] = []
-    for c in d.crossings:
-        for p in c.ports:
-            adj[p] = []
-    edges = list(d.connections)
-    for c, bit in zip(d.crossings, state):
-        edges.extend(smoothing_pairs(c, bit))
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    nodes, _, adjacent, ports = d.wiring()
+    smoothed = [-1] * len(nodes)   # rank -> rank across its smoothing
+    for ps, bit in zip(ports, state):
+        for i, j in (SMOOTH_1 if bit else SMOOTH_0):
+            smoothed[ps[i]] = ps[j]
+            smoothed[ps[j]] = ps[i]
 
-    visited = set()
-    raw = []
-
-    def walk(start):
-        path = [start]
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = None
-            for nb in sorted(adj[cur], key=d.sort_key):
-                if nb not in visited:
-                    nxt = nb
-                    break
-            if nxt is None:
-                # closed up or hit the far end
-                return path
-            path.append(nxt)
-            visited.add(nxt)
-            prev, cur = cur, nxt
-
-    # arcs start at boundary endpoints
-    for b in d.boundary:
-        if b not in visited:
-            raw.append(walk(b))
-    # remaining cycles
-    for c in d.crossings:
-        for p in c.ports:
-            if p not in visited:
-                raw.append(walk(p))
-
-    raw.sort(key=lambda path: d.sort_key(path[0]))
+    boundary = set(d.boundary)
+    visited = [False] * len(nodes)
     components = []
-    for path in raw:
-        eps = tuple(x for x in path if x in d.boundary)
-        kind = "arc" if eps else "circle"
+    # starts go up in rank, so the components come out sorted by their
+    # smallest member: arcs (from boundary endpoints) before cycles
+    for start in range(len(nodes)):
+        if visited[start]:
+            continue
+        path = [start]
+        visited[start] = True
+        cur = start
+        while True:
+            nxt = smoothed[cur]
+            if nxt < 0 or visited[nxt]:
+                nxt = -1
+            for nb in adjacent[cur]:
+                if not visited[nb] and (nxt < 0 or nb < nxt):
+                    nxt = nb
+            if nxt < 0:   # closed up or hit the far end
+                break
+            path.append(nxt)
+            visited[nxt] = True
+            cur = nxt
+        labels = tuple(nodes[k] for k in path)
+        eps = tuple(x for x in labels if x in boundary)
         components.append(ComponentRecord(
-            id=len(components), kind=kind, ports=tuple(path), endpoints=eps))
+            id=len(components), kind="arc" if eps else "circle",
+            ports=labels, endpoints=eps))
     for _ in range(d.free_circles):
         components.append(ComponentRecord(
             id=len(components), kind="circle", ports=(), endpoints=()))

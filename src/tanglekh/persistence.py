@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from . import linalg
 from .algebra import LaurentPolynomial
 from .complex import BigradedHomology, GradedChainComplex, build_complex
-from .cube import classify_nodes, transfer_labels
+from .cube import (MaskMap, StateTable, bit_table, circle_bits, classify,
+                   saddle_mask_map)
 from .diagram import Crossing, TangleDiagram
 
 
@@ -167,9 +168,8 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
         raise MorphismError("spec does not match the given complexes")
     spec.validate()
 
-    field = src.field
-    one = field.one
-    columns = {p: [dict() for _ in gens] for p, gens in src.basis.items()}
+    one = src.field.one
+    columns = _empty_columns(src)
     q_shift = None
 
     for state, res_s in src.resolutions.items():
@@ -218,39 +218,37 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
         elif q_shift != shift:
             raise MorphismError("quantum shift varies across states")
 
-        p, start, count = _span(src, state)
-        for gi in range(start, start + count):
-            gen = src.basis[p][gi]
-            out = [None] * len(res_t.components)
-            for j in new:
-                out[j] = "+" if res_t.components[j].kind == "circle" else "w"
-            for i, j in mapping.items():
-                sym = gen.labels[i]
-                if (res_s.components[i].kind == "arc"
-                        and res_t.components[j].kind == "circle"):
-                    sym = "-"
-                out[j] = sym
-            _, ti = dst.index[(state, tuple(out))]
-            columns[p][gi][ti] = one
+        # circles keep their bit, an arc that closes up carries v- (its
+        # bit set in every image) and a new circle carries v+
+        src_bits, dst_bits = circle_bits(res_s), circle_bits(res_t)
+        bit_images = [0] * res_s.r
+        closed = 0
+        for i, j in mapping.items():
+            if src_bits[i]:
+                bit_images[src_bits[i].bit_length() - 1] = dst_bits[j]
+            else:
+                closed |= dst_bits[j]
+        p, off, _ = src.span(state)
+        MaskMap(bit_table(bit_images), 0, {0: (closed,)}).fill(
+            columns[p], off, dst.layout[state][1], one)
 
     return ChainMap(src=src, dst=dst, columns=columns,
                     q_shift=0 if q_shift is None else q_shift)
 
 
-def _span(c: GradedChainComplex, state):
-    """(p, start, count) of the generators living over one state."""
-    p = sum(state) - c.n_minus
-    gens = c.basis[p]
-    start = None
-    count = 0
-    for i, g in enumerate(gens):
-        if g.state == state:
-            if start is None:
-                start = i
-            count += 1
-        elif start is not None:
-            break
-    return p, 0 if start is None else start, count
+def _empty_columns(c: GradedChainComplex):
+    return {p: [{} for _ in range(c.dim(p))] for p in c.degrees}
+
+
+def _fill_each_state(src, dst, mask_map):
+    """Chain map columns from ``mask_map(state)``, the map of the
+    generators over one state into those of ``dst`` over the same state."""
+    columns = _empty_columns(src)
+    for state in src.resolutions:
+        p, off = src.layout[state]
+        mask_map(state).fill(columns[p], off, dst.layout[state][1],
+                             src.field.one)
+    return columns
 
 
 # -- cobordism generator maps (link mode) --------------------------------
@@ -277,14 +275,14 @@ def cap_map(c: GradedChainComplex, dst=None):
                        connections=c.diagram.connections,
                        free_circles=c.diagram.free_circles + 1)
     dst = _target(c, d2, dst, "cap")
-    one = c.field.one
-    columns = {}
-    for p, gens in c.basis.items():
-        cols = []
-        for g in gens:
-            _, ti = dst.index[(g.state, g.labels + ("+",))]
-            cols.append({ti: one})
-        columns[p] = cols
+    # the new circle comes last: the lowest bit, labelled v+
+
+    def shifted(state):
+        return MaskMap(bit_table([2 << k for k in
+                                  range(c.resolutions[state].r)]),
+                       0, {0: (0,)})
+
+    columns = _fill_each_state(c, dst, shifted)
     return ChainMap(src=c, dst=dst, columns=columns, q_shift=1)
 
 
@@ -300,20 +298,16 @@ def cup_map(c: GradedChainComplex, circle_index=-1, dst=None):
                        connections=c.diagram.connections,
                        free_circles=c.diagram.free_circles - 1)
     dst = _target(c, d2, dst, "cup")
-    one = c.field.one
-    columns = {}
-    for p, gens in c.basis.items():
-        cols = []
-        for g in gens:
-            res = c.resolutions[g.state]
-            pos = res.free_circle_indices[circle_index]
-            if g.labels[pos] == "+":
-                cols.append({})
-            else:
-                labels = g.labels[:pos] + g.labels[pos + 1:]
-                _, ti = dst.index[(g.state, labels)]
-                cols.append({ti: one})
-        columns[p] = cols
+    # free circles are the lowest bits, the first one highest among them
+    b = c.diagram.free_circles - 1 - circle_index
+
+    def deleted(state):
+        r = c.resolutions[state].r
+        return MaskMap(bit_table([1 << k for k in range(b)] + [0]
+                                 + [1 << k for k in range(b, r - 1)]),
+                       1 << b, {0: (), 1 << b: (0,)})
+
+    columns = _fill_each_state(c, dst, deleted)
     return ChainMap(src=c, dst=dst, columns=columns, q_shift=1)
 
 
@@ -351,19 +345,16 @@ def saddle_map(src: GradedChainComplex, dst: GradedChainComplex, site,
     if construction == "cone":
         return _saddle_cone(src, dst, site)
 
-    field = src.field
-    one = field.one
-    nodes = (a, b, cc, dd)
-    columns = {p: [dict() for _ in gens] for p, gens in src.basis.items()}
-    for state, res_s in src.resolutions.items():
-        res_t = dst.resolutions[state]
-        cls = classify_nodes(res_s, res_t, nodes)
-        p, start, count = _span(src, state)
-        for gi in range(start, start + count):
-            gen = src.basis[p][gi]
-            for out in transfer_labels(cls, res_s, res_t, gen.labels):
-                _, ti = dst.index[(state, out)]
-                columns[p][gi][ti] = one
+    rank = src.diagram.wiring()[1]   # the target has the same nodes
+    nodes = [rank[x] for x in (a, b, cc, dd)]
+
+    def local(state):
+        s_tab = StateTable(src.resolutions[state], rank)
+        t_tab = StateTable(dst.resolutions[state], rank)
+        return saddle_mask_map(classify(s_tab, t_tab, nodes),
+                               s_tab.bits, t_tab.bits)
+
+    columns = _fill_each_state(src, dst, local)
     return ChainMap(src=src, dst=dst, columns=columns, q_shift=-1)
 
 
@@ -385,51 +376,44 @@ def _saddle_cone(src: GradedChainComplex, dst: GradedChainComplex, site):
         connections=pairs, free_circles=d.free_circles)
     ct = build_complex(tilde, functor=src.functor, field=src.field)
 
-    def correspondence(res_from, res_to, labels_from):
-        """Transport labels between resolutions sharing strand nodes."""
-        out = [None] * len(res_to.components)
-        free_from = res_from.free_circle_indices
-        free_to = res_to.free_circle_indices
-        node_to = {}
-        for j, comp in enumerate(res_to.components):
-            for x in comp.ports:
-                node_to[x] = j
-        for i, comp in enumerate(res_from.components):
-            shared = [x for x in comp.ports if x in node_to]
-            if shared:
-                out[node_to[shared[0]]] = labels_from[i]
-            else:
-                out[free_to[free_from.index(i)]] = labels_from[i]
-        return tuple(out)
-
-    field = src.field
-    columns = {p: [dict() for _ in gens] for p, gens in src.basis.items()}
+    columns = _empty_columns(src)
     for state, res_s in src.resolutions.items():
         # new crossing has the smallest id, so it is the first state bit
-        tstate = (0,) + state
-        res_tilde = ct.resolutions[tstate]
-        p, start, count = _span(src, state)
-        for gi in range(start, start + count):
-            gen = src.basis[p][gi]
-            tlabels = correspondence(res_s, res_tilde, gen.labels)
-            tp, ti = ct.index[(tstate, tlabels)]
-            col = ct.differential_column(tp, ti)
-            for j, coeff in col.items():
-                tgt = ct.basis[tp + 1][j]
-                if tgt.state[0] != 1:
-                    continue
-                dstate = tgt.state[1:]
-                dlabels = correspondence(ct.resolutions[tgt.state],
-                                         dst.resolutions[dstate],
-                                         tgt.labels)
-                _, di = dst.index[(dstate, dlabels)]
-                prev = columns[p][gi].get(di, field.zero)
-                val = field.add(prev, coeff)
-                if val == field.zero:
-                    columns[p][gi].pop(di, None)
-                else:
-                    columns[p][gi][di] = val
+        tp, t_off, _ = ct.span((0,) + state)
+        _, d_off, d_count = ct.span((1,) + state)
+        into = _correspondence(res_s, ct.resolutions[(0,) + state])
+        back = _correspondence(ct.resolutions[(1,) + state],
+                               dst.resolutions[state])
+        p, off, count = src.span(state)
+        row_off = dst.layout[state][1]
+        tcols = ct.differentials[tp]
+        for m in range(count):
+            columns[p][off + m] = {
+                row_off + back[j - d_off]: x
+                for j, x in tcols[t_off + into[m]].items()
+                if d_off <= j < d_off + d_count}
     return ChainMap(src=src, dst=dst, columns=columns, q_shift=-1)
+
+
+def _correspondence(res_from, res_to):
+    """Mask transport between resolutions whose components correspond:
+    a component goes to the one holding its first shared node, a free
+    circle to the free circle of the same position."""
+    node_to = {}
+    for j, comp in enumerate(res_to.components):
+        for x in comp.ports:
+            node_to[x] = j
+    free_from = res_from.free_circle_indices
+    free_to = res_to.free_circle_indices
+    bits_from, bits_to = circle_bits(res_from), circle_bits(res_to)
+    images = [0] * res_from.r
+    for i, comp in enumerate(res_from.components):
+        if not bits_from[i]:
+            continue
+        shared = [x for x in comp.ports if x in node_to]
+        j = node_to[shared[0]] if shared else free_to[free_from.index(i)]
+        images[bits_from[i].bit_length() - 1] = bits_to[j]
+    return bit_table(images)
 
 
 # -- induced maps on homology and the rank invariant ---------------------
@@ -687,10 +671,17 @@ class Filtration:
     def runs(self):
         if self._runs is not None:
             return self._runs
-        complexes = [build_complex(d, functor=self.functor, field=self.field)
-                     for d in self.diagrams]
         from .complex import homology
-        homologies = [homology(c) for c in complexes]
+        # a grade whose diagram equals the previous one reuses its results
+        complexes, homologies = [], []
+        for i, d in enumerate(self.diagrams):
+            if i and d == self.diagrams[i - 1]:
+                complexes.append(complexes[-1])
+                homologies.append(homologies[-1])
+            else:
+                complexes.append(build_complex(d, functor=self.functor,
+                                               field=self.field))
+                homologies.append(homology(complexes[-1]))
         runs = []
         start = 0
         maps = []

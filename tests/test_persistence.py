@@ -374,3 +374,23 @@ def test_cap_cup_filtration_builds_each_complex_once(monkeypatch):
         cap_map(c, dst=c)
     with pytest.raises(MorphismError, match="cup target mismatch"):
         cup_map(build_complex(up, field=QQ), dst=build_complex(up, field=QQ))
+
+
+def test_equal_grades_build_once(monkeypatch):
+    import tanglekh.persistence as ps
+    built = []
+
+    def counting(d, **kwargs):
+        built.append(d)
+        return build_complex(d, **kwargs)
+
+    monkeypatch.setattr(ps, "build_complex", counting)
+    d = braid_closure([1, 1, 1], 2)
+    filt = Filtration(grades=[0, 1, 2], diagrams=[d, d, d],
+                      steps=[{"kind": "identity"}] * 2, field=QQ)
+    (run,) = filt.runs()
+    assert built == [d]
+    h = homology(build_complex(d, field=QQ))
+    assert {p: [(b.birth, b.death, b.multiplicity) for b in bars]
+            for p, bars in run.barcodes().items()} == \
+        {p: [(0, None, h.total_rank(p))] for p in h.degrees}
