@@ -191,6 +191,8 @@ def cmd_ingest(args):
     except GenericityError as e:
         print(f"genericity failure: {e} at {e.location}", file=sys.stderr)
         return 3
+    except ValueError as e:   # no curves, or a tolerance out of range
+        raise SystemExit2(f"cannot ingest {args.curves}: {e}")
     payload = {
         "grades": filt.grades,
         "diagrams": [d.to_json() for d in filt.diagrams],

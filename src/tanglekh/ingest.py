@@ -36,6 +36,13 @@ class Polyline:
                            tuple(tuple(map(float, p)) for p in self.points))
         if len(self.points) < 2:
             raise ValueError("polyline needs at least 2 points")
+        if any(len(p) != 3 for p in self.points):
+            raise ValueError("polyline points need 3 coordinates")
+        # beyond this, squared coordinate differences overflow a float;
+        # NaN and inf fail the comparison too
+        if not all(abs(x) <= 1e150 for p in self.points for x in p):
+            raise ValueError("polyline coordinates must be finite and at "
+                             "most 1e150 in magnitude")
 
 
 @dataclass(frozen=True)
@@ -112,12 +119,44 @@ class CrossingRecord:
     over_in_slot: int  # 1 or 3; under always enters at slot 0, leaves at 2
 
 
+# Rounding margin, relative to a segment's size and position, added to
+# the tolerance bands that decide which segment pairs are tested and
+# which segments a clip circle can cross; about the square root of the
+# double precision unit roundoff.
+_MARGIN = 2.0 ** -26
+
+
 @dataclass
 class PlanarArrangement:
     strands: list
     crossings: list
     tol: float
     report: dict = dc_field(default_factory=dict)
+    _ranges: dict = dc_field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+
+    def distance_ranges(self, center):
+        """Per strand, per segment: (lo, hi) bounding the segment's
+        distance from ``center``, widened by tol and the rounding margin.
+
+        A clip circle of radius outside [lo, hi] cannot cross the segment.
+        Computed once per centre.
+        """
+        key = tuple(center)
+        if key not in self._ranges:
+            cx, cy = key
+            self._ranges[key] = [
+                [_distance_range(*s.seg(i), cx, cy, self.tol)
+                 for i in range(s.nseg)]
+                for s in self.strands]
+        return self._ranges[key]
+
+
+def _distance_range(a, b, cx, cy, tol):
+    hi = max(math.hypot(a[0] - cx, a[1] - cy), math.hypot(b[0] - cx,
+                                                         b[1] - cy))
+    pad = (tol + _MARGIN) * max(1.0, hi, abs(cx), abs(cy))
+    return _segment_distance((cx, cy), a, b) - pad, hi + pad
 
 
 def _cross2(u, v):
@@ -125,13 +164,25 @@ def _cross2(u, v):
 
 
 def _seg_intersection(p1, p2, p3, p4, tol):
-    """Parameters (t, u) of the transverse intersection, or None."""
+    """Parameters (t, u) of the transverse intersection, or None.
+
+    Raises GenericityError when the segments meet at an endpoint, or are
+    parallel within tol and overlap or touch along a common line.
+    """
     d1 = (p2[0] - p1[0], p2[1] - p1[1])
     d2 = (p4[0] - p3[0], p4[1] - p3[1])
     den = _cross2(d1, d2)
     diag = max(abs(x) for x in d1 + d2) or 1.0
     if abs(den) <= tol * diag * diag:
-        return None  # parallel; overlap handled by the caller's tol checks
+        # parallel: collinear overlap puts an endpoint of one segment
+        # within tol times the other's extent of the other
+        for q, a, b in ((p3, p1, p2), (p4, p1, p2),
+                        (p1, p3, p4), (p2, p3, p4)):
+            reach = tol * max(abs(b[0] - a[0]), abs(b[1] - a[1]))
+            if _segment_distance(q, a, b) <= reach:
+                raise GenericityError("collinear segments overlap",
+                                      location=q)
+        return None
     w = (p3[0] - p1[0], p3[1] - p1[1])
     t = _cross2(w, d2) / den
     u = _cross2(w, d1) / den
@@ -145,15 +196,101 @@ def _seg_intersection(p1, p2, p3, p4, tol):
     return None
 
 
+def _segment_distance(q, a, b):
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    L2 = dx * dx + dy * dy
+    f = 0.0 if L2 == 0 else min(1.0, max(0.0, ((q[0] - a[0]) * dx
+                                               + (q[1] - a[1]) * dy) / L2))
+    return math.hypot(a[0] + f * dx - q[0], a[1] + f * dy - q[1])
+
+
+def _candidate_pairs(ends, tol):
+    """Segment index pairs (a, b), a < b, in ascending order, whose
+    padded bounding boxes overlap.
+
+    A box is padded by tol times its segment's extent, which holds every
+    point _seg_intersection can accept on that segment, plus the rounding
+    margin; so every pair on which it returns or raises is listed.  Boxes
+    are clipped to the hull of all points, which keeps each overlap, and
+    hashed into a uniform grid.  The cell starts at the mean segment
+    extent and doubles until the boxes cover at most 4 cells per segment
+    in total, so no input costs more than testing every pair.
+    """
+    n = len(ends)
+    x0 = min(min(a[0], b[0]) for a, b in ends)
+    x1 = max(max(a[0], b[0]) for a, b in ends)
+    y0 = min(min(a[1], b[1]) for a, b in ends)
+    y1 = max(max(a[1], b[1]) for a, b in ends)
+    boxes = []
+    total = 0.0
+    for (ax, ay), (bx, by) in ends:
+        ext = max(abs(bx - ax), abs(by - ay))
+        pad = tol * ext + _MARGIN * (ext + max(abs(ax), abs(ay),
+                                               abs(bx), abs(by)))
+        boxes.append((max(x0, min(ax, bx) - pad), min(x1, max(ax, bx) + pad),
+                      max(y0, min(ay, by) - pad), min(y1, max(ay, by) + pad)))
+        total += ext
+    # at least 1/n of the hull, so cell indices stay below n + 1
+    cell = max(total / n, (x1 - x0) / n, (y1 - y0) / n) or 1.0
+    while True:
+        spans = [(int((bx0 - x0) / cell), int((bx1 - x0) / cell),
+                  int((by0 - y0) / cell), int((by1 - y0) / cell))
+                 for bx0, bx1, by0, by1 in boxes]
+        if sum((i1 - i0 + 1) * (j1 - j0 + 1)
+               for i0, i1, j0, j1 in spans) <= 4 * n:
+            break
+        cell *= 2
+    grid = {}
+    for a, (i0, i1, j0, j1) in enumerate(spans):
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                grid.setdefault((i, j), []).append(a)
+    for a, (i0, i1, j0, j1) in enumerate(spans):
+        near = set()
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                near.update(grid[i, j])
+        ax0, ax1, ay0, ay1 = boxes[a]
+        for b in sorted(b for b in near if b > a):
+            bx0, bx1, by0, by1 = boxes[b]
+            if bx0 <= ax1 and ax0 <= bx1 and by0 <= ay1 and ay0 <= by1:
+                yield a, b
+
+
+def _reject_triple_points(raw, tol):
+    """Raise at the first crossing, in detection order, that lies within
+    10 tol of another; crossings are scanned in x order, in a window."""
+    reach = tol * 10
+    order = sorted(range(len(raw)), key=lambda i: raw[i][2][0])
+    first = len(raw)
+    for k, i in enumerate(order):
+        xi, yi = raw[i][2]
+        for m in range(k + 1, len(order)):
+            j = order[m]
+            xj, yj = raw[j][2]
+            if xj - xi > reach:   # hypot(dx, dy) >= |dx|
+                break
+            if math.hypot(xi - xj, yi - yj) <= reach:
+                first = min(first, i, j)
+    if first < len(raw):
+        raise GenericityError("two crossings coincide (triple point)",
+                              location=raw[first][2])
+
+
 def project_and_detect(c: CurveSet, tol=1e-9) -> PlanarArrangement:
     """Project the curves and find all transverse crossings.
 
     Over-strand is the one with the greater depth coordinate; the sign is
     +1 when the frame (under direction, over direction) is positively
-    oriented in the projection plane.
+    oriented in the projection plane.  Only segment pairs whose padded
+    boxes overlap are tested, in ascending order, so crossings and the
+    first genericity error are those of testing every pair.
     """
     if not c.curves:
         raise ValueError("curve set is empty")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, "
+                         f"got {tol}")
     ix, iy, iz = _PLANE[c.axis]
     strands = []
     for poly in c.curves:
@@ -162,35 +299,27 @@ def project_and_detect(c: CurveSet, tol=1e-9) -> PlanarArrangement:
                               closed=poly.closed))
 
     segs = [(si, k) for si, s in enumerate(strands) for k in range(s.nseg)]
+    ends = [strands[si].seg(k) for si, k in segs]
     raw = []
-    for a in range(len(segs)):
+    for a, b in _candidate_pairs(ends, tol):
         s1, k1 = segs[a]
-        st1 = strands[s1]
-        p1, p2 = st1.seg(k1)
-        for b in range(a + 1, len(segs)):
-            s2, k2 = segs[b]
-            if s1 == s2:
-                adj = abs(k1 - k2) == 1 or (
-                    st1.closed and {k1, k2} == {0, st1.nseg - 1})
-                if adj:
-                    continue
-            st2 = strands[s2]
-            p3, p4 = st2.seg(k2)
-            hit = _seg_intersection(p1, p2, p3, p4, tol)
-            if hit is None:
+        s2, k2 = segs[b]
+        if s1 == s2:
+            st1 = strands[s1]
+            adj = abs(k1 - k2) == 1 or (
+                st1.closed and {k1, k2} == {0, st1.nseg - 1})
+            if adj:
                 continue
-            t, u = hit
-            raw.append(((s1, k1 + t), (s2, k2 + u),
-                        (p1[0] + t * (p2[0] - p1[0]),
-                         p1[1] + t * (p2[1] - p1[1]))))
-
-    # triple points: any two crossings too close together
-    for i in range(len(raw)):
-        for j in range(i + 1, len(raw)):
-            pi, pj = raw[i][2], raw[j][2]
-            if math.hypot(pi[0] - pj[0], pi[1] - pj[1]) <= tol * 10:
-                raise GenericityError("two crossings coincide (triple point)",
-                                      location=pi)
+        p1, p2 = ends[a]
+        p3, p4 = ends[b]
+        hit = _seg_intersection(p1, p2, p3, p4, tol)
+        if hit is None:
+            continue
+        t, u = hit
+        raw.append(((s1, k1 + t), (s2, k2 + u),
+                    (p1[0] + t * (p2[0] - p1[0]),
+                     p1[1] + t * (p2[1] - p1[1]))))
+    _reject_triple_points(raw, tol)
 
     crossings = []
     for (sa, ta), (sb, tb), pos in raw:
@@ -423,10 +552,13 @@ def clip(pa: PlanarArrangement, center, radius):
         passages.setdefault(c.over[0], []).append((c.over[1], k, "over"))
 
     pieces = []
+    ranges = pa.distance_ranges(center)
     for si, strand in enumerate(pa.strands):
         cuts = []
-        for i in range(strand.nseg):
-            cuts.extend(i + t for t in _circle_hits(strand, i, center, radius))
+        for i, (lo, hi) in enumerate(ranges[si]):
+            if lo <= radius <= hi:
+                cuts.extend(i + t
+                            for t in _circle_hits(strand, i, center, radius))
         dist0 = math.hypot(strand.points[0][0] - cx,
                            strand.points[0][1] - cy)
         if abs(dist0 - radius) <= tol * max(1.0, radius):

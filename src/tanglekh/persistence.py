@@ -672,16 +672,14 @@ class Filtration:
         if self._runs is not None:
             return self._runs
         from .complex import homology
-        # a grade whose diagram equals the previous one reuses its results
-        complexes, homologies = [], []
-        for i, d in enumerate(self.diagrams):
-            if i and d == self.diagrams[i - 1]:
-                complexes.append(complexes[-1])
-                homologies.append(homologies[-1])
-            else:
-                complexes.append(build_complex(d, functor=self.functor,
-                                               field=self.field))
-                homologies.append(homology(complexes[-1]))
+        # a grade whose diagram equals an earlier one reuses its results
+        built = {}
+        for d in self.diagrams:
+            if d not in built:
+                c = build_complex(d, functor=self.functor, field=self.field)
+                built[d] = (c, homology(c))
+        complexes = [built[d][0] for d in self.diagrams]
+        homologies = [built[d][1] for d in self.diagrams]
         runs = []
         start = 0
         maps = []

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from tanglekh.algebra import QQ
 from tanglekh.cli import main
 from tanglekh.persistence import Filtration, saddle_target_diagram
@@ -214,6 +216,19 @@ def test_ingest_genericity_exit_3(tmp_path, capsys):
 def test_ingest_rejects_bad_file(tmp_path):
     path = tmp_path / "nope.json"
     assert main(["ingest", str(path)]) == 2
+
+
+@pytest.mark.parametrize("payload,extra", [
+    ({"curves": [{"points": [[0, 0, 0], [1, float("nan"), 0]]}]}, []),
+    ({"curves": [{"points": [[0, 0, 0], [float("inf"), 1, 0]]}]}, []),
+    ({"curves": []}, []),
+    ({"curves": [{"points": [[0, 0], [1, 1]]}]}, []),
+    ({"curves": [{"points": [[0, 0, 0], [1, 1, 0]]}]}, ["--tol", "-1"]),
+])
+def test_ingest_bad_curves_exit_2(tmp_path, capsys, payload, extra):
+    path = write_json(tmp_path / "curves.json", payload)
+    assert main(["ingest", path, *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot")
 
 
 def test_compute_functor_f_on_tangle_fails(tmp_path):

@@ -1,7 +1,10 @@
 import math
+import random
+import time
 
 import pytest
 
+import tanglekh.ingest as ingest
 from tanglekh.algebra import QQ
 from tanglekh.complex import build_complex, homology
 from tanglekh.ingest import (CurveSet, GenericityError, Polyline,
@@ -78,6 +81,167 @@ def test_triple_point_rejected():
                 ([(-1, -1, 2), (1, 1, 2)], False))
     with pytest.raises(GenericityError):
         project_and_detect(cs)
+
+
+@pytest.mark.parametrize("second", [[(0, 0, 1), (2, 0, 1)],
+                                    [(1, 0, 1), (3, 0, 1)],
+                                    [(2, 0, 1), (-2, 0, 1)]])
+def test_collinear_overlap_rejected(second):
+    cs = curves(([(-1, 0, 0), (1, 0, 0)], False), (second, False))
+    with pytest.raises(GenericityError, match="collinear") as ei:
+        project_and_detect(cs)
+    x, y = ei.value.location
+    assert -1 <= x <= 1 and y == 0
+
+
+def test_bad_coordinates_and_tolerance_rejected():
+    for bad in (math.nan, math.inf, -math.inf, 1e200):
+        with pytest.raises(ValueError):
+            Polyline(points=[(0, 0, 0), (1, bad, 0)], closed=False)
+    for tol in (-1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            project_and_detect(cross_fixture(), tol=tol)
+
+
+# -- the grid against testing every segment pair --------------------------
+
+
+def every_pair(ends, tol):
+    """The reference candidate set: all segment pairs in (a, b) order."""
+    for a in range(len(ends)):
+        for b in range(a + 1, len(ends)):
+            yield a, b
+
+
+def every_crossing_pair(raw, tol):
+    """The reference triple-point check: all pairs of crossings."""
+    for i in range(len(raw)):
+        for j in range(i + 1, len(raw)):
+            pi, pj = raw[i][2], raw[j][2]
+            if math.hypot(pi[0] - pj[0], pi[1] - pj[1]) <= tol * 10:
+                raise GenericityError("two crossings coincide (triple point)",
+                                      location=pi)
+
+
+def outcome(cs, tol):
+    try:
+        return "ok", project_and_detect(cs, tol=tol).crossings
+    except GenericityError as e:
+        return "error", str(e), e.location
+
+
+def assert_same_as_all_pairs(cs, tol=1e-9):
+    got = outcome(cs, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_candidate_pairs", every_pair)
+        mp.setattr(ingest, "_reject_triple_points", every_crossing_pair)
+        want = outcome(cs, tol)
+    assert got == want
+    return got
+
+
+def random_polyline(rng, n, scale=3.0):
+    return [(rng.uniform(-scale, scale), rng.uniform(-scale, scale),
+             rng.uniform(-1, 1)) for _ in range(n)]
+
+
+def lattice_walk(rng, n):
+    """Unit and diagonal lattice steps: shared vertices, collinear runs
+    and crossings at half-integer points."""
+    x = y = 0
+    pts = [(0, 0, rng.random())]
+    for _ in range(n - 1):
+        dx, dy = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1),
+                             (1, 1), (1, -1), (-1, 1), (-1, -1)])
+        x, y = x + dx, y + dy
+        pts.append((x, y, rng.random()))
+    return pts
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.05])
+def test_grid_matches_all_pairs_on_random_polylines(tol):
+    rng = random.Random(5)
+    kinds = []
+    for _ in range(40):
+        polys = [(random_polyline(rng, rng.randrange(2, 30)),
+                  rng.random() < 0.5) for _ in range(rng.randrange(1, 4))]
+        kinds.append(assert_same_as_all_pairs(curves(*polys), tol)[0])
+    assert "ok" in kinds
+
+
+def test_grid_matches_all_pairs_on_lattice_walks():
+    rng = random.Random(11)
+    results = []
+    for _ in range(150):
+        polys = [(lattice_walk(rng, rng.randrange(3, 12)), rng.random() < 0.3)
+                 for _ in range(rng.randrange(1, 3))]
+        results.append(assert_same_as_all_pairs(curves(*polys)))
+    messages = {r[1] for r in results if r[0] == "error"}
+    assert any(r[0] == "ok" and r[1] for r in results)
+    assert any("endpoint" in m for m in messages)
+    assert any("collinear" in m for m in messages)
+
+
+def torus_points(p, q, n, turn=0.0, shift=(0.0, 0.0, 0.0)):
+    """T(p, q) on a torus of radii 2 and 1, rotated about z by ``turn``
+    and translated by ``shift``; q(p - 1) crossings along z."""
+    pts = []
+    for k in range(n):
+        t = 2 * math.pi * (k + 0.37) / n
+        rad = 2.0 + math.cos(q * t)
+        x, y = rad * math.cos(p * t), rad * math.sin(p * t)
+        c, s = math.cos(turn), math.sin(turn)
+        pts.append((c * x - s * y + shift[0], s * x + c * y + shift[1],
+                    math.sin(q * t) + shift[2]))
+    return pts
+
+
+def test_grid_matches_all_pairs_on_moved_torus_and_mixed_strands():
+    moved = torus_points(2, 5, 300, turn=0.7, shift=(13.5, -4.25, 2.0))
+    ok, crossings = assert_same_as_all_pairs(curves((moved, True)))
+    assert ok == "ok" and len(crossings) == 5
+    # an open chord through the knot and a far ring, with the knot
+    cut = [(6.0, -9.0, 5.0), (21.0, 0.5, 5.0), (20.5, 1.5, -5.0)]
+    ring = [(x + 40.0, y, z) for x, y, z in circle_polyline(1.0, n=50)]
+    ok, crossings = assert_same_as_all_pairs(
+        curves((moved, True), (cut, False), (ring, True)))
+    assert ok == "ok" and len(crossings) > 5
+
+
+def test_clip_distance_ranges_keep_pieces():
+    """Skipping segments whose distance range misses the radius leaves
+    every clip as solving on every segment does."""
+    pa = project_and_detect(curves((torus_points(3, 4, 400, turn=0.2), True),
+                                   (circle_polyline(0.5, cx=0.3, n=40), True)))
+    center = (0.21, 0.13)
+    events = critical_radii(pa, center)
+    radii = sample_grades(events) + [e.radius * (1 + s) for e in events
+                                     for s in (-1e-6, 1e-6)]
+    unbounded = [[(-math.inf, math.inf)] * s.nseg for s in pa.strands]
+    for radius in radii:
+        try:
+            got = clip(pa, center, radius)
+        except GenericityError as e:
+            got = str(e)
+        pa._ranges[center] = unbounded
+        try:
+            want = clip(pa, center, radius)
+        except GenericityError as e:
+            want = str(e)
+        pa._ranges.clear()
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.pieces == want.pieces
+            assert got.diagram == want.diagram
+
+
+def test_ten_thousand_point_torus_knot_is_fast():
+    cs = curves((torus_points(3, 4, 10_000, turn=0.3), True))
+    start = time.perf_counter()
+    pa = project_and_detect(cs)
+    assert time.perf_counter() - start < 10.0
+    assert len(pa.crossings) == 4 * (3 - 1)
 
 
 # -- events and clipping -------------------------------------------------
