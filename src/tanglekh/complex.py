@@ -12,15 +12,29 @@ import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
+from math import comb
+from typing import NamedTuple
 
 from . import linalg
 from .algebra import GF2, Generator
-from .cube import StateTable, classify, labels_of, mask_of, saddle_mask_map
+from .cube import (StateTable, bit_table, classify, labels_of, mask_of,
+                   saddle_parts)
 from .diagram import TangleDiagram, resolve, validate
 
 
 class ComplexError(ValueError):
     pass
+
+
+class Edge(NamedTuple):
+    """A classified cube edge out of a state: its target state, its sign
+    (negative or not) and the saddle as ``cube.saddle_parts`` gives it."""
+
+    target: tuple
+    negative: bool
+    images: tuple
+    active: int
+    terms: dict
 
 
 @dataclass
@@ -29,26 +43,33 @@ class GradedChainComplex:
     where ``layout[state] = (p, offset)`` and mask is a bitmask over the
     state's circles (see ``cube``).  States of one degree take consecutive
     index ranges in lexicographic state order, so the basis is ordered by
-    state, then by labeling with '+' before '-'."""
+    state, then by labeling with '+' before '-'.
+
+    The complex stores per-state data only: resolutions, layout and the
+    classified edges out of each state.  The differential is computed on
+    demand: ``block_columns`` yields the columns of one block d^p_q in
+    block-local rows, and ``differential_column`` and ``differentials``
+    are views of it in global indices."""
 
     diagram: TangleDiagram
     functor: str
     field: object
     n_plus: int
     n_minus: int
-    differentials: dict  # p -> list of column dicts into degree p+1 indices
     resolutions: dict    # state -> Resolution
     layout: dict         # state -> (p, offset of the state's mask 0)
+    edges: dict          # state -> tuple of Edge, by ascending crossing
+    dims: dict           # p -> dim C^p
 
     @property
     def degrees(self):
-        return sorted(self.differentials)
+        return sorted(self.dims)
 
     def dim(self, p):
-        return len(self.differentials.get(p, ()))
+        return self.dims.get(p, 0)
 
     def total_dim(self):
-        return sum(len(cols) for cols in self.differentials.values())
+        return sum(self.dims.values())
 
     def span(self, state):
         """(p, start, count) of the generators living over one state."""
@@ -57,53 +78,150 @@ class GradedChainComplex:
 
     @cached_property
     def _states(self):
-        """p -> (offsets, states) in index order."""
+        """p -> (offsets, states, q of mask 0, circle counts), in index
+        order."""
         out = {}
         for state, (p, off) in self.layout.items():
-            offs, states = out.setdefault(p, ([], []))
-            offs.append(off)
-            states.append(state)
+            res = self.resolutions[state]
+            lists = out.setdefault(p, ([], [], [], []))
+            lists[0].append(off)
+            lists[1].append(state)
+            lists[2].append(p + self.n_plus - self.n_minus + res.r - res.t)
+            lists[3].append(res.r)
         return out
+
+    def _degree(self, p):
+        """(offset, state, q of mask 0, circle count) over degree p."""
+        return zip(*self._states.get(p, ((),) * 4))
 
     def locate(self, p, i):
         """(state, mask) of generator i at degree p."""
-        offs, states = self._states[p]
+        offs, states, _, _ = self._states[p]
         k = bisect.bisect_right(offs, i) - 1
         return states[k], i - offs[k]
 
     @property
     def basis(self):
         """p -> sequence of ``Generator``, decoded on demand."""
-        return {p: _DegreeBasis(self, p) for p in self.differentials}
+        return {p: _DegreeBasis(self, p) for p in self.dims}
 
     @property
     def index(self):
         """(state, labels) -> (p, i), encoded on demand."""
         return _Index(self)
 
-    def _q_base(self, state, p):
-        res = self.resolutions[state]
-        return p + self.n_plus - self.n_minus + res.r - res.t
-
     def q_of(self, p, i):
-        state, mask = self.locate(p, i)
-        return self._q_base(state, p) - 2 * bin(mask).count("1")
+        offs, _, q0s, _ = self._states[p]
+        k = bisect.bisect_right(offs, i) - 1
+        return q0s[k] - 2 * bin(i - offs[k]).count("1")
 
     def q_blocks(self, p):
         """Generator indices at degree p grouped by quantum grading:
         q = p + n_plus - n_minus + r - t - 2 popcount(mask)."""
+        return {q: self.block_generators(p, q) for q in self.block_sizes(p)}
+
+    def block_sizes(self, p):
+        """q -> dim C^{p,q}, in the key order of ``q_blocks(p)``."""
         out = {}
-        if p not in self.differentials:
-            return out
-        for off, state in zip(*self._states[p]):
-            q0 = self._q_base(state, p)
-            for k, masks in enumerate(_by_popcount(self.resolutions[state].r)):
-                out.setdefault(q0 - 2 * k, []).extend([off + m for m in masks])
+        for _, _, q0, r in self._degree(p):
+            for k in range(r + 1):
+                out[q0 - 2 * k] = out.get(q0 - 2 * k, 0) + comb(r, k)
         return out
 
+    def _block(self, p, q):
+        """(state, r, popcount, start) of every state with generators in
+        block (p, q), in basis order; start is the block-local index of
+        the state's first mask of that popcount."""
+        out = []
+        start = 0
+        for _, state, q0, r in self._degree(p):
+            k, odd = divmod(q0 - q, 2)
+            if not odd and 0 <= k <= r:
+                out.append((state, r, k, start))
+                start += comb(r, k)
+        return out
+
+    def block_generators(self, p, q):
+        """The global indices of block (p, q), in block-local order."""
+        return [self.layout[state][1] + m
+                for state, r, k, _ in self._block(p, q)
+                for m in _by_popcount(r)[k]]
+
+    def block_columns(self, p, q, skip=()):
+        """The columns of the block d^p_q, computed on demand.
+
+        Yields ``(k, column)`` for each block-local column index k not in
+        ``skip``, in order.  Rows are block-local indices of (p+1, q): a
+        column is a packed int over F2 (bit r for row r) and a dict
+        {row: int} otherwise, with entries 1 and -1 (mod p over F_p).
+        Columns in ``skip`` are never built.
+
+        A generator's block-local index is its state's start in the block
+        plus the rank of its mask among the masks of equal popcount in
+        ascending order, which is the mask's colex rank."""
+        rows = {state: start for state, _, _, start in self._block(p + 1, q)}
+        f = self.field
+        packed = f.char == 2
+        pos, neg = 1, (f.p - 1 if f.char else -1)
+        for state, r, k, start in self._block(p, q):
+            edges = []
+            for target, negative, images, active, terms in self.edges[state]:
+                base = rows.get(target)
+                if base is not None:   # else no mask of this block reaches it
+                    edges.append((
+                        base, _bystanders(images), active, terms,
+                        _colex(self.resolutions[target].r),
+                        neg if negative else pos))
+            for j, m in enumerate(_by_popcount(r)[k], start):
+                if j in skip:
+                    continue
+                if packed:
+                    col = 0
+                    for base, by, active, terms, rank, _ in edges:
+                        for t in terms[m & active]:
+                            col |= 1 << (base + rank[by[m] | t])
+                else:
+                    col = {}
+                    for base, by, active, terms, rank, x in edges:
+                        for t in terms[m & active]:
+                            col[base + rank[by[m] | t]] = x
+                yield j, col
+
+    def _state_columns(self, state, masks=None):
+        """Columns of d over the given masks of one state (all of them by
+        default), in global rows and field values.  Entries are inserted
+        edge by edge in crossing order, then in the order of the local
+        map's terms."""
+        one = self.field.one
+        neg = self.field.neg(one)
+        if masks is None:
+            masks = range(1 << self.resolutions[state].r)
+        cols = [{} for _ in masks]
+        for target, negative, images, active, terms in self.edges[state]:
+            row_off = self.layout[target][1]
+            by = _bystanders(images)
+            x = neg if negative else one
+            for col, m in zip(cols, masks):
+                b = row_off + by[m]   # b | t == b + t: the bits are disjoint
+                for t in terms[m & active]:
+                    col[b + t] = x
+        return cols
+
     def differential_column(self, p, i):
-        cols = self.differentials.get(p)
-        return cols[i] if cols is not None else {}
+        """Column i of d^p in the indices of degree p + 1."""
+        return _DegreeColumns(self, p)[i] if p in self.dims else {}
+
+    @property
+    def differentials(self):
+        """p -> the columns of d^p, computed state by state on demand."""
+        return {p: _DegreeColumns(self, p) for p in self.degrees}
+
+
+@lru_cache(maxsize=4096)
+def _bystanders(images):
+    """The bystander table of a saddle: few distinct ``images`` occur, so
+    each table is built once."""
+    return bit_table(images)
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +233,21 @@ def _by_popcount(r):
     return out
 
 
-class _DegreeBasis(Sequence):
+@lru_cache(maxsize=None)
+def _colex(r):
+    """``out[m]`` = the position of m among the r-bit masks of its
+    popcount in ascending order."""
+    out = [0] * (1 << r)
+    for masks in _by_popcount(r):
+        for k, m in enumerate(masks):
+            out[m] = k
+    return out
+
+
+class _DegreeView(Sequence):
+    """A read-only sequence with one item per generator of degree p,
+    made by ``_at(state, mask)`` and, state by state, by ``_over(state)``."""
+
     def __init__(self, c, p):
         self._c, self._p = c, p
 
@@ -128,16 +260,35 @@ class _DegreeBasis(Sequence):
             i += n
         if not 0 <= i < n:
             raise IndexError(i)
-        state, mask = self._c.locate(self._p, i)
+        return self._at(*self._c.locate(self._p, i))
+
+    def __iter__(self):
+        for state in self._c._states[self._p][1]:
+            yield from self._over(state)
+
+
+class _DegreeBasis(_DegreeView):
+    def _at(self, state, mask):
         return Generator(state=state,
                          labels=labels_of(self._c.resolutions[state], mask))
 
-    def __iter__(self):
-        c = self._c
-        for state in c._states[self._p][1]:
-            res = c.resolutions[state]
-            for m in range(1 << res.r):
-                yield Generator(state=state, labels=labels_of(res, m))
+    def _over(self, state):
+        res = self._c.resolutions[state]
+        return (Generator(state=state, labels=labels_of(res, m))
+                for m in range(1 << res.r))
+
+
+class _DegreeColumns(_DegreeView):
+    """The columns of d^p as dicts, equal to a list of the same dicts."""
+
+    def _at(self, state, mask):
+        return self._c._state_columns(state, (mask,))[0]
+
+    def _over(self, state):
+        return self._c._state_columns(state)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 class _Index(Mapping):
@@ -162,10 +313,11 @@ def build_complex(d: TangleDiagram, functor="G", field=GF2,
                   sign_flip=None) -> GradedChainComplex:
     """Assemble the cochain complex of ``d`` under the given functor.
 
-    Each cube edge is classified once; its saddle then fills the columns
-    of all 2^r source masks.  Distinct edges of a state reach distinct
-    target states and a split's two target masks differ, so every
-    (column, row) entry is a single signed term.
+    Each state is resolved once and each cube edge classified and signed
+    once; no differential column is built here (see ``block_columns``).
+    Distinct edges of a state reach distinct target states and a split's
+    two target masks differ, so every (column, row) entry is a single
+    signed term.
 
     ``sign_flip`` optionally names one edge ``(state, star)`` whose sign is
     negated; it exists purely as a corruption hook for self-tests.
@@ -193,54 +345,71 @@ def build_complex(d: TangleDiagram, functor="G", field=GF2,
         dims[p] = off + (1 << res.r)
         tables[state] = StateTable(res, rank)
 
-    one = field.one
-    neg_one = field.neg(one)
-    differentials = {p: [{} for _ in range(k)] for p, k in dims.items()}
-
+    edges = {}
+    shared = {}   # equal image tuples are stored once
     for state, src in tables.items():
-        p, off = layout[state]
-        cols = differentials[p]
+        out = []
         ones = 0
         for star, bit in enumerate(state):
             if bit:
                 ones += 1
                 continue
-            tgt_state = state[:star] + (1,) + state[star + 1:]
-            dst = tables[tgt_state]
-            cls = classify(src, dst, ports[star])
-            negative = (ones % 2 == 1) != (sign_flip == (state, star))
-            saddle_mask_map(cls, src.bits, dst.bits).fill(
-                cols, off, layout[tgt_state][1], neg_one if negative else one)
+            dst = tables[state[:star] + (1,) + state[star + 1:]]
+            images, active, terms = saddle_parts(
+                classify(src, dst, ports[star]), src.bits, dst.bits)
+            out.append(Edge(dst.res.state,
+                            (ones % 2 == 1) != (sign_flip == (state, star)),
+                            shared.setdefault(images, images), active, terms))
+        edges[state] = tuple(out)
 
     return GradedChainComplex(
         diagram=d, functor=functor, field=field,
-        n_plus=d.n_plus, n_minus=d.n_minus,
-        differentials=differentials, resolutions=resolutions, layout=layout)
+        n_plus=d.n_plus, n_minus=d.n_minus, resolutions=resolutions,
+        layout=layout, edges=edges, dims=dims)
 
 
 def verify_d_squared(c: GradedChainComplex):
-    """Check d(p+1) . d(p) = 0; returns (ok, first violating (p, column))."""
-    f = c.field
+    """Check d(p+1) . d(p) = 0 block by block: each column of d^p_q is
+    composed with the columns of d^{p+1}_q it meets, by XOR of packed
+    columns over F2.  Returns (ok, first violating (p, column)), the
+    column as a global index and the first one in index order."""
+    mod = c.field.char
     for p in c.degrees:
-        nxt = c.differentials.get(p + 1)
-        if nxt is None:
+        if p + 1 not in c.dims:
             continue
-        for i, col in enumerate(c.differentials[p]):
-            acc = {}
-            for j, coeff in col.items():
-                linalg.add_into(acc, nxt[j], coeff, f)
-            if acc:
-                return False, (p, i)
+        bad = None
+        for q in c.block_sizes(p):
+            nxt = [col for _, col in c.block_columns(p + 1, q)]
+            for k, col in c.block_columns(p, q):
+                if mod == 2:
+                    acc = 0
+                    while col:
+                        low = col & -col
+                        acc ^= nxt[low.bit_length() - 1]
+                        col ^= low
+                else:
+                    acc = {}
+                    for j, x in col.items():
+                        for r, y in nxt[j].items():
+                            acc[r] = acc.get(r, 0) + x * y
+                    acc = any(v % mod if mod else v for v in acc.values())
+                if acc:
+                    i = c.block_generators(p, q)[k]
+                    bad = i if bad is None else min(bad, i)
+                    break
+        if bad is not None:
+            return False, (p, bad)
     return True, None
 
 
 def verify_phi_homogeneous(c: GradedChainComplex):
     """Every differential entry must preserve the quantum grading."""
     for p in c.degrees:
+        q_next = [c.q_of(p + 1, j) for j in range(c.dim(p + 1))]
         for i, col in enumerate(c.differentials[p]):
             q = c.q_of(p, i)
             for j in col:
-                if c.q_of(p + 1, j) != q:
+                if q_next[j] != q:
                     return False, (p, i, j)
     return True, None
 
@@ -278,38 +447,38 @@ def homology(c: GradedChainComplex, representatives=True) -> BigradedHomology:
     """Bigraded homology ranks, with cocycle representatives on request.
 
     Rank first: dim H^{p,q} = dim C^{p,q} - rk d^p_q - rk d^{p-1}_q, and
-    each block d^p_q is eliminated once, untracked, in degree order.  A
-    column whose index is a pivot row of the reduced block d^{p-1}_q
-    reduces to zero and is skipped (clearing, Chen-Kerber).  Blocks with
-    H^{p,q} != 0 are eliminated once more with coordinate tracking when
-    ``representatives`` is set: the columns that reduce to zero without
-    being cleared give cocycles that form a basis of H^{p,q}, because
-    their highest coordinates are distinct from the pivot rows of the
-    image and from each other.
+    each block d^p_q is streamed from ``c.block_columns`` and eliminated
+    once, untracked, in degree order, then dropped.  A column whose index
+    is a pivot row of the reduced block d^{p-1}_q reduces to zero, so it
+    is never built (clearing, Chen-Kerber).  Blocks with H^{p,q} != 0 are
+    eliminated once more with coordinate tracking when
+    ``representatives`` is set, on the block's live columns kept from the
+    first pass: the columns that reduce to zero without being cleared
+    give cocycles that form a basis of H^{p,q}, because their highest
+    coordinates are distinct from the pivot rows of the image and from
+    each other.
     """
     f = c.field
     ranks = {}
     reps = {}
-    blocks = {p: c.q_blocks(p) for p in c.degrees}
     cleared = {}   # q -> pivot rows of d^{p-1}_q, as indices into block q
     for p in c.degrees:
-        cols = c.differentials[p]
-        nxt = blocks.get(p + 1, {})
         pivots = {}
-        for q, gens in blocks[p].items():
+        for q, size in c.block_sizes(p).items():
             skip = cleared.get(q, ())
-            rows = {g: k for k, g in enumerate(nxt.get(q, ()))}
-            live = [(k, {rows[j]: x for j, x in cols[i].items()})
-                    for k, i in enumerate(gens) if k not in skip]
             red = linalg.reducer(f)
-            for _, col in live:
-                red.add(red.load(col))
+            live = []
+            for k, col in c.block_columns(p, q, skip):
+                red.add(red.take(col))
+                if representatives:
+                    live.append((k, col))
             pivots[q] = red.pivot_rows()
-            h = len(live) - red.rank
+            h = size - len(skip) - red.rank
             if h:
                 ranks[(p, q)] = h
                 if representatives:
-                    reps[(p, q)] = _cocycles(f, gens, live)
+                    reps[(p, q)] = _cocycles(
+                        f, c.block_generators(p, q), live)
         cleared = pivots
 
     return BigradedHomology(field=f, n_plus=c.n_plus, n_minus=c.n_minus,
@@ -322,7 +491,7 @@ def _cocycles(f, gens, live):
     red = linalg.reducer(f, ncoords=len(gens))
     out = []
     for k, col in live:
-        v = red.add(red.load(col, key=k))
+        v = red.add(red.take(col, key=k))
         if red.is_zero(v):
             out.append({gens[j]: x for j, x in red.coords(v).items()})
     return out

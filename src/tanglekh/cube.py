@@ -196,9 +196,11 @@ def classify(src: StateTable, dst: StateTable, nodes):
                                 target_active=ta, bystanders=bystanders)
 
 
-def saddle_mask_map(cls: SaddleClassification, src_bits, dst_bits):
-    """The local saddle map of ``cls`` on all source masks, from the one
-    table ``algebra.SADDLE``."""
+def saddle_parts(cls: SaddleClassification, src_bits, dst_bits):
+    """``(images, active, terms)`` of the local saddle map of ``cls``, from
+    the one table ``algebra.SADDLE``: ``images[k]`` is the target bit of the
+    bystander bit 1 << k (0 for an active bit), and source mask m goes to
+    the masks OR(images of m's bits) | t for t in terms[m & active]."""
     images = [0] * max(src_bits, default=0).bit_length()
     for i, j in cls.bystanders:
         b = src_bits[i]
@@ -207,6 +209,12 @@ def saddle_mask_map(cls: SaddleClassification, src_bits, dst_bits):
     active, terms = _local_terms(
         cls.kind, tuple([src_bits[i] for i in cls.source_active]),
         tuple([dst_bits[j] for j in cls.target_active]))
+    return tuple(images), active, terms
+
+
+def saddle_mask_map(cls: SaddleClassification, src_bits, dst_bits):
+    """The local saddle map of ``cls`` on all source masks."""
+    images, active, terms = saddle_parts(cls, src_bits, dst_bits)
     return MaskMap(bit_table(images), active, terms)
 
 

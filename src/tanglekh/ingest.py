@@ -34,6 +34,9 @@ class Polyline:
     def __post_init__(self):
         object.__setattr__(self, "points",
                            tuple(tuple(map(float, p)) for p in self.points))
+        if not isinstance(self.closed, bool):
+            raise ValueError(f"polyline 'closed' must be true or false, "
+                             f"not {self.closed!r}")
         if len(self.points) < 2:
             raise ValueError("polyline needs at least 2 points")
         if any(len(p) != 3 for p in self.points):
@@ -60,7 +63,7 @@ class CurveSet:
     @classmethod
     def from_json(cls, data):
         return cls(curves=tuple(
-            Polyline(points=c["points"], closed=bool(c.get("closed", False)))
+            Polyline(points=c["points"], closed=c.get("closed", False))
             for c in data["curves"]),
             axis=data.get("axis", "z"),
             center=tuple(data.get("center", (0.0, 0.0))))

@@ -17,9 +17,12 @@ loaded with ``key=k`` carries coordinate k in rows below the real ones
 reduction the real part of a column equals the sum, over its coordinates,
 of coordinate times loaded column, modulo the columns loaded without a key.
 
-``load`` turns a field-valued dict into backend format; ``coords`` (and
-``rows`` for the dict backends) turn the coordinate (and real) part back
-into field values.
+``load`` turns a field-valued dict into backend format, and ``take``
+accepts a column already in it (a packed int over F2, {row: int} with
+entries reduced mod p or integral over Q), such as the columns that
+``GradedChainComplex.block_columns`` streams; both add the coordinate
+``key`` if given.  ``coords`` turns the coordinate part back into field
+values.
 """
 
 from __future__ import annotations
@@ -41,7 +44,10 @@ class F2Reducer:
         self.shift = ncoords  # real row r is bit r + shift
 
     def load(self, vec, key=None):
-        v = pack(vec) << self.shift
+        return self.take(pack(vec), key)
+
+    def take(self, col, key=None):
+        v = col << self.shift
         return v if key is None else v | 1 << key
 
     def reduce(self, v):
@@ -84,14 +90,17 @@ class _DictReducer:
         self.pivots = {}   # pivot row -> stored column
         self.rank = 0
 
+    def take(self, col, key=None):
+        v = dict(col)
+        if key is not None:
+            v[~key] = 1
+        return v
+
     def is_zero(self, v):
         return not v or max(v) < 0
 
     def pivot_rows(self):
         return set(self.pivots)
-
-    def rows(self, v):
-        return {r: self._value(x) for r, x in v.items() if r >= 0}
 
     def coords(self, v):
         return {~r: self._value(x) for r, x in v.items() if r < 0}
@@ -223,65 +232,6 @@ def rank(columns, field) -> int:
     for col in columns:
         red.add(red.load(col))
     return red.rank
-
-
-def kernel_basis(columns, field):
-    """Coefficient vectors (over column indices) spanning the kernel."""
-    red = reducer(field, ncoords=len(columns))
-    out = []
-    for i, col in enumerate(columns):
-        v = red.add(red.load(col, key=i))
-        if red.is_zero(v):
-            out.append(red.coords(v))
-    return out
-
-
-class ColumnReducer:
-    """Incremental column echelon form over field-valued dict columns,
-    with optional coordinate tracking over the columns added so far."""
-
-    def __init__(self, field, track=False):
-        self.field = field
-        self.track = track
-        # dict backends: the number of coordinates is not known up front
-        self._red = FpReducer(field.p) if field.char else QReducer()
-        self.count = 0     # columns added (for coordinate indexing)
-
-    @property
-    def rank(self):
-        return self._red.rank
-
-    def reduce(self, vec):
-        """Reduce ``vec`` against the stored columns.
-
-        Returns ``(residual, coords)``: ``vec - residual`` equals the sum
-        of coords[j] times the j-th added column (coords only if
-        tracking).
-        """
-        return self._split(self._red.reduce(self._load(vec)))
-
-    def add(self, vec):
-        """Reduce and, if independent, store.  Returns (residual, coords)."""
-        out = self._split(self._red.add(self._load(vec)))
-        self.count += 1
-        return out
-
-    def _load(self, vec):
-        # the column itself is coordinate ``count``; its coefficient is the
-        # scale the Q backend has applied to it
-        return self._red.load(vec, key=self.count)
-
-    def _split(self, v):
-        f, red = self.field, self._red
-        coords = red.coords(v)
-        own = f.inv(coords.pop(self.count))
-        neg = f.neg(own)
-        return ({r: f.mul(own, x) for r, x in red.rows(v).items()},
-                {j: f.mul(neg, x) for j, x in coords.items()}
-                if self.track else None)
-
-
-ColumnReducer2 = F2Reducer
 
 
 def add_into(acc, vec, c, field):

@@ -112,13 +112,13 @@ def verify_chain_map(f: ChainMap):
     fld = f.src.field
     for p in f.src.degrees:
         cols = f.columns.get(p, [])
-        for i in range(f.src.dim(p)):
-            lhs = f.apply(p + 1, f.src.differential_column(p, i))
+        d_dst = list(f.dst.differentials.get(p, ()))
+        for i, d_col in enumerate(f.src.differentials[p]):
+            lhs = f.apply(p + 1, d_col)
             rhs = {}
             if i < len(cols):
                 for j, c in cols[i].items():
-                    linalg.add_into(rhs, f.dst.differential_column(p, j),
-                                    c, fld)
+                    linalg.add_into(rhs, d_dst[j], c, fld)
             if lhs != rhs:
                 return False, (p, i)
     return True, None
@@ -379,19 +379,18 @@ def _saddle_cone(src: GradedChainComplex, dst: GradedChainComplex, site):
     columns = _empty_columns(src)
     for state, res_s in src.resolutions.items():
         # new crossing has the smallest id, so it is the first state bit
-        tp, t_off, _ = ct.span((0,) + state)
         _, d_off, d_count = ct.span((1,) + state)
         into = _correspondence(res_s, ct.resolutions[(0,) + state])
         back = _correspondence(ct.resolutions[(1,) + state],
                                dst.resolutions[state])
         p, off, count = src.span(state)
         row_off = dst.layout[state][1]
-        tcols = ct.differentials[tp]
+        tp, t_off, _ = ct.span((0,) + state)
         for m in range(count):
-            columns[p][off + m] = {
-                row_off + back[j - d_off]: x
-                for j, x in tcols[t_off + into[m]].items()
-                if d_off <= j < d_off + d_count}
+            col = ct.differential_column(tp, t_off + into[m])
+            columns[p][off + m] = {row_off + back[j - d_off]: x
+                                   for j, x in col.items()
+                                   if d_off <= j < d_off + d_count}
     return ChainMap(src=src, dst=dst, columns=columns, q_shift=-1)
 
 
@@ -443,7 +442,6 @@ def induced_on_homology(f: ChainMap, h_src: BigradedHomology,
     out = {}
     for p in sorted(set(h_src.degrees) | set(h_dst.degrees)):
         row_of = {qj: k for k, qj in enumerate(rep_order(h_dst, p))}
-        blocks = None
         solvers = {}
         cols = []
         for (q, j) in rep_order(h_src, p):
@@ -452,9 +450,7 @@ def induced_on_homology(f: ChainMap, h_src: BigradedHomology,
             if fz:
                 t = q + f.q_shift
                 if t not in solvers:
-                    if blocks is None:
-                        blocks = (f.dst.q_blocks(p - 1), f.dst.q_blocks(p))
-                    solvers[t] = _block_solver(f.dst, h_dst, p, t, blocks)
+                    solvers[t] = _block_solver(f.dst, h_dst, p, t)
                 red, local, own = solvers[t]
                 v = red.reduce(red.load({local[i]: x for i, x in fz.items()},
                                         key=own))
@@ -471,19 +467,17 @@ def induced_on_homology(f: ChainMap, h_src: BigradedHomology,
     return out
 
 
-def _block_solver(c: GradedChainComplex, h: BigradedHomology, p, q, blocks):
+def _block_solver(c: GradedChainComplex, h: BigradedHomology, p, q):
     """Echelon form of im d^{p-1} plus the representatives of H^{p,q},
-    in indices local to the (p, q) block of ``c``; ``blocks`` holds
-    ``c.q_blocks`` at p - 1 and p.  Returns (reducer, local index, own):
-    representative k carries coordinate k, and a column to solve is
-    loaded with coordinate ``own``."""
-    prev, here = blocks
-    local = {g: k for k, g in enumerate(here.get(q, ()))}
+    in indices local to the (p, q) block of ``c``, whose columns of
+    d^{p-1}_q come from ``c.block_columns``.  Returns (reducer, local
+    index, own): representative k carries coordinate k, and a column to
+    solve is loaded with coordinate ``own``."""
+    local = {g: k for k, g in enumerate(c.block_generators(p, q))}
     reps = h.representatives.get((p, q), ())
     red = linalg.reducer(c.field, ncoords=len(reps) + 1)
-    for i in prev.get(q, ()):
-        red.add(red.load({local[j]: x for j, x in
-                          c.differential_column(p - 1, i).items()}))
+    for _, col in c.block_columns(p - 1, q):
+        red.add(red.take(col))
     for k, z in enumerate(reps):
         red.add(red.load({local[i]: x for i, x in z.items()}, key=k))
     return red, local, len(reps)

@@ -5,6 +5,7 @@ import pytest
 
 from tanglekh.algebra import QQ
 from tanglekh.cli import main
+from tanglekh.ingest import CurveSet
 from tanglekh.persistence import Filtration, saddle_target_diagram
 
 from conftest import braid_closure, braid_tangle, circle_polyline, kink_arc
@@ -224,11 +225,22 @@ def test_ingest_rejects_bad_file(tmp_path):
     ({"curves": []}, []),
     ({"curves": [{"points": [[0, 0], [1, 1]]}]}, []),
     ({"curves": [{"points": [[0, 0, 0], [1, 1, 0]]}]}, ["--tol", "-1"]),
+    ({"curves": [{"points": [[0, 0, 0], [1, 1, 0]], "closed": "false"}]}, []),
+    ({"curves": [{"points": [[0, 0, 0], [1, 1, 0]], "closed": 1}]}, []),
 ])
 def test_ingest_bad_curves_exit_2(tmp_path, capsys, payload, extra):
     path = write_json(tmp_path / "curves.json", payload)
     assert main(["ingest", path, *extra]) == 2
     assert capsys.readouterr().err.startswith("error: cannot")
+
+
+def test_ingest_closed_is_a_json_boolean(tmp_path):
+    """A missing "closed" means open; true and false are taken as given."""
+    pts = [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
+    read = CurveSet.from_json({"curves": [{"points": pts},
+                                          {"points": pts, "closed": False},
+                                          {"points": pts, "closed": True}]})
+    assert [c.closed for c in read.curves] == [False, False, True]
 
 
 def test_compute_functor_f_on_tangle_fails(tmp_path):

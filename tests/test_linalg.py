@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from tanglekh import linalg
 from tanglekh.algebra import GF2, QQ, PrimeField
 
+from reducers import ColumnReducer, ColumnReducer2, kernel_basis
+
 
 def dense_rank(columns, nrows, field):
     """Naive Gaussian elimination on a dense copy, for cross-checking."""
@@ -51,7 +53,7 @@ def test_kernel_vectors_annihilate(cols_raw, fname):
     field = QQ if fname == "q" else PrimeField(5)
     cols = [{i: field.coerce(v) for i, v in c.items() if field.coerce(v) != field.zero}
             for c in cols_raw]
-    kernel = linalg.kernel_basis(cols, field)
+    kernel = kernel_basis(cols, field)
     for kvec in kernel:
         assert linalg.matvec(cols, kvec, field) == {}
     assert len(kernel) == len(cols) - linalg.rank(cols, field)
@@ -63,7 +65,7 @@ def test_coordinate_tracking_invariant(cols_raw):
     """A reduced-away vector equals the tracked combination of columns."""
     field = QQ
     cols = [{i: Fraction(v) for i, v in c.items() if v} for c in cols_raw]
-    red = linalg.ColumnReducer(field, track=True)
+    red = ColumnReducer(field, track=True)
     added = []
     for col in cols:
         residual, coords = red.add(col)
@@ -89,7 +91,7 @@ def test_gf2_bitpacked_agrees_with_generic(rng):
         cols = []
         for _ in range(ncols):
             cols.append({i: 1 for i in range(8) if rng.random() < 0.4})
-        red2 = linalg.ColumnReducer2()
+        red2 = ColumnReducer2()
         for col in cols:
             red2.add(linalg.pack(col))
         assert red2.rank == linalg.rank(cols, GF2)
