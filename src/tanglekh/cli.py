@@ -86,8 +86,13 @@ def cmd_compute(args):
     if not d.boundary:
         report["jones"] = jones_from_homology(h).to_json()
     if args.generators:
+        basis = c.basis
+        exact = str if field.char == 0 else int
         report["generators"] = {
-            f"{p},{q}": [sorted(v) for v in vs]
+            f"{p},{q}": [[[list(g.state), list(g.labels), exact(x)]
+                          for i, x in sorted(v.items())
+                          for g in (basis[p][i],)]
+                         for v in vs]
             for (p, q), vs in h.representatives.items()}
     _write(report, args.out, args.format)
     return 0

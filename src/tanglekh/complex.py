@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 from . import linalg
 from .algebra import GF2, Generator
-from .cube import (StateTable, bit_table, classify, labels_of, mask_of,
-                   saddle_parts)
-from .diagram import TangleDiagram, resolve, validate
+from .cube import bit_table, labels_of, mask_of, saddle
+from .diagram import TangleDiagram, resolve, validate, walk
 
 
 class ComplexError(ValueError):
@@ -28,7 +27,8 @@ class ComplexError(ValueError):
 
 class Edge(NamedTuple):
     """A classified cube edge out of a state: its target state, its sign
-    (negative or not) and the saddle as ``cube.saddle_parts`` gives it."""
+    (negative or not) and the saddle's parts as ``cube.saddle`` gives
+    them."""
 
     target: tuple
     negative: bool
@@ -45,18 +45,19 @@ class GradedChainComplex:
     index ranges in lexicographic state order, so the basis is ordered by
     state, then by labeling with '+' before '-'.
 
-    The complex stores per-state data only: resolutions, layout and the
-    classified edges out of each state.  The differential is computed on
-    demand: ``block_columns`` yields the columns of one block d^p_q in
-    block-local rows, and ``differential_column`` and ``differentials``
-    are views of it in global indices."""
+    The complex stores per-state data only: the circle and arc counts
+    (r, t), the layout and the classified edges out of each state.  The
+    differential is computed on demand: ``block_columns`` yields the
+    columns of one block d^p_q in block-local rows, and
+    ``differential_column`` and ``differentials`` are views of it in
+    global indices.  ``resolutions`` resolves a state when asked."""
 
     diagram: TangleDiagram
     functor: str
     field: object
     n_plus: int
     n_minus: int
-    resolutions: dict    # state -> Resolution
+    rt: dict             # state -> (circles r, arcs t)
     layout: dict         # state -> (p, offset of the state's mask 0)
     edges: dict          # state -> tuple of Edge, by ascending crossing
     dims: dict           # p -> dim C^p
@@ -74,7 +75,12 @@ class GradedChainComplex:
     def span(self, state):
         """(p, start, count) of the generators living over one state."""
         p, off = self.layout[state]
-        return p, off, 1 << self.resolutions[state].r
+        return p, off, 1 << self.rt[state][0]
+
+    @cached_property
+    def resolutions(self):
+        """state -> ``Resolution``, resolved on first access."""
+        return _Resolutions(self)
 
     @cached_property
     def _states(self):
@@ -82,12 +88,12 @@ class GradedChainComplex:
         order."""
         out = {}
         for state, (p, off) in self.layout.items():
-            res = self.resolutions[state]
+            r, t = self.rt[state]
             lists = out.setdefault(p, ([], [], [], []))
             lists[0].append(off)
             lists[1].append(state)
-            lists[2].append(p + self.n_plus - self.n_minus + res.r - res.t)
-            lists[3].append(res.r)
+            lists[2].append(p + self.n_plus - self.n_minus + r - t)
+            lists[3].append(r)
         return out
 
     def _degree(self, p):
@@ -170,7 +176,7 @@ class GradedChainComplex:
                 if base is not None:   # else no mask of this block reaches it
                     edges.append((
                         base, _bystanders(images), active, terms,
-                        _colex(self.resolutions[target].r),
+                        _colex(self.rt[target][0]),
                         neg if negative else pos))
             for j, m in enumerate(_by_popcount(r)[k], start):
                 if j in skip:
@@ -195,7 +201,7 @@ class GradedChainComplex:
         one = self.field.one
         neg = self.field.neg(one)
         if masks is None:
-            masks = range(1 << self.resolutions[state].r)
+            masks = range(1 << self.rt[state][0])
         cols = [{} for _ in masks]
         for target, negative, images, active, terms in self.edges[state]:
             row_off = self.layout[target][1]
@@ -270,12 +276,12 @@ class _DegreeView(Sequence):
 class _DegreeBasis(_DegreeView):
     def _at(self, state, mask):
         return Generator(state=state,
-                         labels=labels_of(self._c.resolutions[state], mask))
+                         labels=labels_of(*self._c.rt[state], mask))
 
     def _over(self, state):
-        res = self._c.resolutions[state]
-        return (Generator(state=state, labels=labels_of(res, m))
-                for m in range(1 << res.r))
+        r, t = self._c.rt[state]
+        return (Generator(state=state, labels=labels_of(r, t, m))
+                for m in range(1 << r))
 
 
 class _DegreeColumns(_DegreeView):
@@ -298,7 +304,7 @@ class _Index(Mapping):
     def __getitem__(self, key):
         state, labels = key
         p, off = self._c.layout[state]
-        return p, off + mask_of(self._c.resolutions[state], labels)
+        return p, off + mask_of(*self._c.rt[state], labels)
 
     def __iter__(self):
         for gens in self._c.basis.values():
@@ -309,15 +315,39 @@ class _Index(Mapping):
         return self._c.total_dim()
 
 
+class _Resolutions(Mapping):
+    """state -> ``diagram.resolve(d, state)``, each resolved once, when
+    first asked for."""
+
+    def __init__(self, c):
+        self._c = c
+        self._cache = {}
+
+    def __getitem__(self, state):
+        res = self._cache.get(state)
+        if res is None:
+            if state not in self._c.layout:
+                raise KeyError(state)
+            res = self._cache[state] = resolve(self._c.diagram, state)
+        return res
+
+    def __iter__(self):
+        return iter(self._c.layout)
+
+    def __len__(self):
+        return len(self._c.layout)
+
+
 def build_complex(d: TangleDiagram, functor="G", field=GF2,
                   sign_flip=None) -> GradedChainComplex:
     """Assemble the cochain complex of ``d`` under the given functor.
 
-    Each state is resolved once and each cube edge classified and signed
-    once; no differential column is built here (see ``block_columns``).
-    Distinct edges of a state reach distinct target states and a split's
-    two target masks differ, so every (column, row) entry is a single
-    signed term.
+    Each state is walked once into a node -> component array
+    (``diagram.walk``) and each cube edge classified and signed once from
+    the arrays of its two states; the arrays are dropped afterwards, and no
+    differential column is built here (see ``block_columns``).  Distinct
+    edges of a state reach distinct target states and a split's two target
+    masks differ, so every (column, row) entry is a single signed term.
 
     ``sign_flip`` optionally names one edge ``(state, star)`` whose sign is
     negated; it exists purely as a corruption hook for self-tests.
@@ -330,41 +360,42 @@ def build_complex(d: TangleDiagram, functor="G", field=GF2,
     if functor not in ("F", "G"):
         raise ComplexError(f"unknown functor {functor!r}")
 
-    _, rank, _, ports = d.wiring()
-    n_minus = d.n_minus
-    resolutions = {}
+    ports = d.wiring()[3]
+    n, t, n_minus = d.n, len(d.boundary) // 2, d.n_minus
+    states = list(itertools.product((0, 1), repeat=n))
+    comps = []    # (comp, r) by state, in ``states`` order
+    rt = {}
     layout = {}
-    tables = {}
     dims = {}
-    for state in itertools.product((0, 1), repeat=d.n):
-        res = resolve(d, state)
-        resolutions[state] = res
+    for state in states:
+        comp, _, r = walk(d, state)
+        comps.append((comp, r))
+        rt[state] = (r, t)
         p = sum(state) - n_minus
         off = dims.get(p, 0)
         layout[state] = (p, off)
-        dims[p] = off + (1 << res.r)
-        tables[state] = StateTable(res, rank)
+        dims[p] = off + (1 << r)
 
     edges = {}
-    shared = {}   # equal image tuples are stored once
-    for state, src in tables.items():
+    for k, (state, src) in enumerate(zip(states, comps)):
         out = []
         ones = 0
         for star, bit in enumerate(state):
             if bit:
                 ones += 1
                 continue
-            dst = tables[state[:star] + (1,) + state[star + 1:]]
-            images, active, terms = saddle_parts(
-                classify(src, dst, ports[star]), src.bits, dst.bits)
-            out.append(Edge(dst.res.state,
+            # states are in binary order, crossing 0 the highest bit
+            target = k + (1 << (n - 1 - star))
+            _, images, active, terms = saddle(src, comps[target], t,
+                                              ports[star])
+            out.append(Edge(states[target],
                             (ones % 2 == 1) != (sign_flip == (state, star)),
-                            shared.setdefault(images, images), active, terms))
+                            images, active, terms))
         edges[state] = tuple(out)
 
     return GradedChainComplex(
         diagram=d, functor=functor, field=field,
-        n_plus=d.n_plus, n_minus=d.n_minus, resolutions=resolutions,
+        n_plus=d.n_plus, n_minus=d.n_minus, rt=rt,
         layout=layout, edges=edges, dims=dims)
 
 

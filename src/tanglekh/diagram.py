@@ -14,12 +14,11 @@ import json
 from dataclasses import dataclass
 
 
-# Smoothing convention, calibrated so that the one-crossing negative kink
-# has a single arc in its 0-state and an arc plus a circle in its 1-state:
+# Smoothing convention (``walk``), calibrated so that the one-crossing
+# negative kink has a single arc in its 0-state and an arc plus a circle
+# in its 1-state:
 #   0-smoothing joins (ports[0], ports[3]) and (ports[1], ports[2]),
 #   1-smoothing joins (ports[0], ports[1]) and (ports[2], ports[3]).
-SMOOTH_0 = ((0, 3), (1, 2))
-SMOOTH_1 = ((0, 1), (2, 3))
 
 
 def _label(x):
@@ -127,22 +126,22 @@ class TangleDiagram:
         return self._key[label]
 
     def wiring(self):
-        """``(nodes, rank, adjacent, ports)``, computed once per diagram.
+        """``(nodes, rank, partner, ports)``, computed once per diagram.
 
         ``nodes`` lists the labels in canonical order and ``rank`` maps a
-        label to its position there.  ``adjacent[k]`` holds the ranks of
-        the connection partners of node k, and ``ports[i]`` the ranks of
-        crossing i's four ports.
+        label to its position there.  ``partner[k]`` is the rank of the
+        connection partner of node k (-1 if it has none), and ``ports[i]``
+        holds the ranks of crossing i's four ports.
         """
         if self._wiring is None:
             nodes = sorted(self._key, key=self._key.__getitem__)
             rank = {x: k for k, x in enumerate(nodes)}
-            adjacent = [[] for _ in nodes]
+            partner = [-1] * len(nodes)
             for a, b in self.connections:
-                adjacent[rank[a]].append(rank[b])
-                adjacent[rank[b]].append(rank[a])
+                partner[rank[a]] = rank[b]
+                partner[rank[b]] = rank[a]
             ports = [tuple(rank[x] for x in c.ports) for c in self.crossings]
-            self._wiring = (nodes, rank, adjacent, ports)
+            self._wiring = (nodes, rank, partner, ports)
         return self._wiring
 
     def portless_arcs(self):
@@ -249,54 +248,76 @@ def validate(d: TangleDiagram) -> ValidationReport:
 # -- resolving states ----------------------------------------------------
 
 
+def walk(d: TangleDiagram, state):
+    """Trace the components of one state over the node ranks of
+    ``d.wiring()``.
+
+    Returns ``(comp, order, r)``: ``comp[k]`` is the component of node
+    rank k, ``order`` lists the ranks component by component in walk
+    order, and r counts the circles, free ones included.  A component is
+    walked from its smallest rank, first to the smaller of its two
+    neighbours, then alternately across a connection and a smoothing, so
+    components are numbered by their smallest rank.  Ranks below
+    ``len(d.boundary)`` start the arcs, which therefore come first:
+    component i < t = len(d.boundary) // 2 is an arc and the others are
+    circles, crossing-free circles last after the node components.
+    """
+    _, _, partner, ports = d.wiring()
+    smoothed = [-1] * len(partner)   # rank -> rank across its smoothing
+    for (a, b, c, e), bit in zip(ports, state):
+        if bit:
+            smoothed[a], smoothed[b], smoothed[c], smoothed[e] = b, a, e, c
+        else:
+            smoothed[a], smoothed[e], smoothed[b], smoothed[c] = e, a, c, b
+    hops = (partner, smoothed)
+    comp = [-1] * len(partner)
+    order = []
+    count = 0
+    for start, done in enumerate(comp):
+        if done >= 0:
+            continue
+        comp[start] = count
+        order.append(start)
+        x, y = partner[start], smoothed[start]
+        h = 1 if y >= 0 and (x < 0 or y < x) else 0
+        cur = start
+        while True:
+            cur = hops[h][cur]
+            if cur < 0 or comp[cur] >= 0:   # closed up or hit the far end
+                break
+            comp[cur] = count
+            order.append(cur)
+            h ^= 1
+        count += 1
+    return comp, order, count - len(d.boundary) // 2 + d.free_circles
+
+
 def resolve(d: TangleDiagram, state) -> Resolution:
     """Replace every crossing by its smoothing and trace components.
 
     ``state`` gives one bit per crossing in ascending crossing-id order.
-    Components come out in canonical order: sorted by their smallest
-    member label, free circles last.  A walk starts at the smallest
-    unvisited node and always steps to the smallest unvisited neighbour,
-    comparing nodes by their rank in ``d.wiring()``.
+    Components come out in canonical order, sorted by their smallest
+    member label, free circles last; each lists its labels in the order
+    ``walk`` visits them.
     """
     state = tuple(int(b) for b in state)
     if len(state) != d.n:
         raise ValueError(f"state length {len(state)} != {d.n} crossings")
 
-    nodes, _, adjacent, ports = d.wiring()
-    smoothed = [-1] * len(nodes)   # rank -> rank across its smoothing
-    for ps, bit in zip(ports, state):
-        for i, j in (SMOOTH_1 if bit else SMOOTH_0):
-            smoothed[ps[i]] = ps[j]
-            smoothed[ps[j]] = ps[i]
-
+    comp, order, _ = walk(d, state)
+    nodes = d.wiring()[0]
+    paths = []
+    for k in order:
+        if comp[k] == len(paths):
+            paths.append([])
+        paths[-1].append(nodes[k])
     boundary = set(d.boundary)
-    visited = [False] * len(nodes)
     components = []
-    # starts go up in rank, so the components come out sorted by their
-    # smallest member: arcs (from boundary endpoints) before cycles
-    for start in range(len(nodes)):
-        if visited[start]:
-            continue
-        path = [start]
-        visited[start] = True
-        cur = start
-        while True:
-            nxt = smoothed[cur]
-            if nxt < 0 or visited[nxt]:
-                nxt = -1
-            for nb in adjacent[cur]:
-                if not visited[nb] and (nxt < 0 or nb < nxt):
-                    nxt = nb
-            if nxt < 0:   # closed up or hit the far end
-                break
-            path.append(nxt)
-            visited[nxt] = True
-            cur = nxt
-        labels = tuple(nodes[k] for k in path)
-        eps = tuple(x for x in labels if x in boundary)
+    for path in paths:
+        eps = tuple(x for x in path if x in boundary)
         components.append(ComponentRecord(
             id=len(components), kind="arc" if eps else "circle",
-            ports=labels, endpoints=eps))
+            ports=tuple(path), endpoints=eps))
     for _ in range(d.free_circles):
         components.append(ComponentRecord(
             id=len(components), kind="circle", ports=(), endpoints=()))

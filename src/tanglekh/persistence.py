@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from . import linalg
 from .algebra import LaurentPolynomial
 from .complex import BigradedHomology, GradedChainComplex, build_complex
-from .cube import (MaskMap, StateTable, bit_table, circle_bits, classify,
-                   saddle_mask_map)
-from .diagram import Crossing, TangleDiagram
+from .cube import MaskMap, bit_table, circle_bit, saddle
+from .diagram import Crossing, TangleDiagram, walk
 
 
 class MorphismError(ValueError):
@@ -146,20 +145,14 @@ def compose_specs(g: ClosureMorphismSpec,
 # -- closure morphisms ---------------------------------------------------
 
 
-def _portless_arc_lookup(d: TangleDiagram, res):
-    """Component index of each portless arc, by canonical arc order."""
-    eps = {frozenset(pair): i for i, pair in enumerate(d.portless_arcs())}
-    out = {}
-    for ci, comp in enumerate(res.components):
-        if comp.kind == "arc" and not any(
-                d.is_port(x) for x in comp.ports):
-            out[eps[frozenset(comp.endpoints)]] = ci
-    return out
-
-
 def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
               spec: ClosureMorphismSpec) -> ChainMap:
-    """The induced chain map of a closure morphism."""
+    """The induced chain map of a closure morphism.
+
+    Both diagrams have the same crossings, so a port keeps its rank up to
+    the change in boundary size, and a component holding ports goes to the
+    target component of its ports.  Portless arcs and free circles go
+    where ``spec`` sends them."""
     if src.field != dst.field:
         raise MorphismError("complexes over different fields")
     if src.functor != "G" or dst.functor != "G":
@@ -168,51 +161,42 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
         raise MorphismError("spec does not match the given complexes")
     spec.validate()
 
+    ds, dt = spec.source, spec.target
+    nb_s, nb_t = len(ds.boundary), len(dt.boundary)
+    arcs_s = _portless_ranks(ds)
+    arcs_t = _portless_ranks(dt)
     one = src.field.one
     columns = _empty_columns(src)
     q_shift = None
 
-    for state, res_s in src.resolutions.items():
-        res_t = dst.resolutions[state]
-        node_to_tgt = {}
-        for j, comp in enumerate(res_t.components):
-            for x in comp.ports:
-                node_to_tgt[x] = j
-
-        src_free = res_s.free_circle_indices
-        tgt_free = res_t.free_circle_indices
-        src_arcs = _portless_arc_lookup(spec.source, res_s)
-        tgt_arcs = _portless_arc_lookup(spec.target, res_t)
+    for state, (p, off) in src.layout.items():
+        comp_s, _, r_s = walk(ds, state)
+        comp_t, _, r_t = walk(dt, state)
+        (_, t_s), (_, t_t) = src.rt[state], dst.rt[state]
+        free_s = t_s + r_s - ds.free_circles   # index of the first free circle
+        free_t = t_t + r_t - dt.free_circles
 
         mapping = {}
-        for i, comp in enumerate(res_s.components):
-            ports = [x for x in comp.ports if spec.source.is_port(x)]
-            if ports:
-                mapping[i] = node_to_tgt[ports[0]]
-            elif comp.kind == "arc":
-                ai = next(k for k, ci in src_arcs.items() if ci == i)
-                img = spec.arc_images[ai]
-                if img[0] == "arc":
-                    mapping[i] = tgt_arcs[img[1]]
-                else:  # ("circle", k)
-                    mapping[i] = tgt_free[img[1]]
-            else:
-                k = src_free.index(i)
-                mapping[i] = tgt_free[spec.circle_images[k]]
+        for k in range(nb_s, len(comp_s)):
+            mapping[comp_s[k]] = comp_t[k - nb_s + nb_t]
+        for k, img in zip(arcs_s, spec.arc_images):
+            mapping[comp_s[k]] = (comp_t[arcs_t[img[1]]] if img[0] == "arc"
+                                  else free_t + img[1])
+        for k, j in enumerate(spec.circle_images):
+            mapping[free_s + k] = free_t + j
+        mapping = sorted(mapping.items())
 
-        images = list(mapping.values())
+        images = [j for _, j in mapping]
         if len(set(images)) != len(images):
             raise MorphismError(
                 f"components merge in state {state}: no chain map exists")
-        for i, j in mapping.items():
-            if (res_s.components[i].kind == "circle"
-                    and res_t.components[j].kind == "arc"):
+        for i, j in mapping:
+            if i >= t_s and j < t_t:
                 raise MorphismError(
                     f"circle maps to arc in state {state}")
 
-        new = [j for j in range(len(res_t.components)) if j not in images]
-        shift = sum(1 if res_t.components[j].kind == "circle" else -1
-                    for j in new)
+        new = set(range(t_t + r_t)) - set(images)
+        shift = sum(1 if j >= t_t else -1 for j in new)
         if q_shift is None:
             q_shift = shift
         elif q_shift != shift:
@@ -220,20 +204,26 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
 
         # circles keep their bit, an arc that closes up carries v- (its
         # bit set in every image) and a new circle carries v+
-        src_bits, dst_bits = circle_bits(res_s), circle_bits(res_t)
-        bit_images = [0] * res_s.r
+        bit_images = [0] * r_s
         closed = 0
-        for i, j in mapping.items():
-            if src_bits[i]:
-                bit_images[src_bits[i].bit_length() - 1] = dst_bits[j]
+        for i, j in mapping:
+            b = circle_bit(r_t, t_t, j)
+            if i >= t_s:
+                bit_images[circle_bit(r_s, t_s, i).bit_length() - 1] = b
             else:
-                closed |= dst_bits[j]
-        p, off, _ = src.span(state)
+                closed |= b
         MaskMap(bit_table(bit_images), 0, {0: (closed,)}).fill(
             columns[p], off, dst.layout[state][1], one)
 
     return ChainMap(src=src, dst=dst, columns=columns,
                     q_shift=0 if q_shift is None else q_shift)
+
+
+def _portless_ranks(d: TangleDiagram):
+    """The rank of one endpoint of each portless arc, in canonical arc
+    order."""
+    rank = d.wiring()[1]
+    return [rank[a] for a, _ in d.portless_arcs()]
 
 
 def _empty_columns(c: GradedChainComplex):
@@ -244,8 +234,7 @@ def _fill_each_state(src, dst, mask_map):
     """Chain map columns from ``mask_map(state)``, the map of the
     generators over one state into those of ``dst`` over the same state."""
     columns = _empty_columns(src)
-    for state in src.resolutions:
-        p, off = src.layout[state]
+    for state, (p, off) in src.layout.items():
         mask_map(state).fill(columns[p], off, dst.layout[state][1],
                              src.field.one)
     return columns
@@ -279,7 +268,7 @@ def cap_map(c: GradedChainComplex, dst=None):
 
     def shifted(state):
         return MaskMap(bit_table([2 << k for k in
-                                  range(c.resolutions[state].r)]),
+                                  range(c.rt[state][0])]),
                        0, {0: (0,)})
 
     columns = _fill_each_state(c, dst, shifted)
@@ -302,7 +291,7 @@ def cup_map(c: GradedChainComplex, circle_index=-1, dst=None):
     b = c.diagram.free_circles - 1 - circle_index
 
     def deleted(state):
-        r = c.resolutions[state].r
+        r = c.rt[state][0]
         return MaskMap(bit_table([1 << k for k in range(b)] + [0]
                                  + [1 << k for k in range(b, r - 1)]),
                        1 << b, {0: (), 1 << b: (0,)})
@@ -345,14 +334,19 @@ def saddle_map(src: GradedChainComplex, dst: GradedChainComplex, site,
     if construction == "cone":
         return _saddle_cone(src, dst, site)
 
-    rank = src.diagram.wiring()[1]   # the target has the same nodes
-    nodes = [rank[x] for x in (a, b, cc, dd)]
+    # the target has the same nodes; the source joins a-b and cc-dd like
+    # the 0-smoothing of ports (a, cc, dd, b), the target a-cc and b-dd
+    # like their 1-smoothing
+    rank = src.diagram.wiring()[1]
+    ports = tuple(rank[x] for x in (a, cc, dd, b))
+    t = len(src.diagram.boundary) // 2
 
     def local(state):
-        s_tab = StateTable(src.resolutions[state], rank)
-        t_tab = StateTable(dst.resolutions[state], rank)
-        return saddle_mask_map(classify(s_tab, t_tab, nodes),
-                               s_tab.bits, t_tab.bits)
+        comp_s, _, r_s = walk(src.diagram, state)
+        comp_t, _, r_t = walk(dst.diagram, state)
+        _, images, active, terms = saddle((comp_s, r_s), (comp_t, r_t), t,
+                                          ports)
+        return MaskMap(bit_table(images), active, terms)
 
     columns = _fill_each_state(src, dst, local)
     return ChainMap(src=src, dst=dst, columns=columns, q_shift=-1)
@@ -376,42 +370,42 @@ def _saddle_cone(src: GradedChainComplex, dst: GradedChainComplex, site):
         connections=pairs, free_circles=d.free_circles)
     ct = build_complex(tilde, functor=src.functor, field=src.field)
 
+    # the cone crossing has the smallest id: its four ports take the ranks
+    # right after the boundary, and the other ports move up by 4
+    nb, t = len(d.boundary), len(d.boundary) // 2
+    into = [k if k < nb else k + 4 for k in range(len(d.wiring()[0]))]
+    back = list(range(nb)) + [-1] * 4 + list(range(nb, len(into)))
     columns = _empty_columns(src)
-    for state, res_s in src.resolutions.items():
+    for state, (p, off) in src.layout.items():
         # new crossing has the smallest id, so it is the first state bit
         _, d_off, d_count = ct.span((1,) + state)
-        into = _correspondence(res_s, ct.resolutions[(0,) + state])
-        back = _correspondence(ct.resolutions[(1,) + state],
-                               dst.resolutions[state])
-        p, off, count = src.span(state)
-        row_off = dst.layout[state][1]
         tp, t_off, _ = ct.span((0,) + state)
-        for m in range(count):
-            col = ct.differential_column(tp, t_off + into[m])
-            columns[p][off + m] = {row_off + back[j - d_off]: x
+        to_cone = _correspondence(walk(d, state), walk(tilde, (0,) + state),
+                                  into, t, d.free_circles)
+        from_cone = _correspondence(walk(tilde, (1,) + state),
+                                    walk(dst.diagram, state), back, t,
+                                    d.free_circles)
+        row_off = dst.layout[state][1]
+        for m in range(src.span(state)[2]):
+            col = ct.differential_column(tp, t_off + to_cone[m])
+            columns[p][off + m] = {row_off + from_cone[j - d_off]: x
                                    for j, x in col.items()
                                    if d_off <= j < d_off + d_count}
     return ChainMap(src=src, dst=dst, columns=columns, q_shift=-1)
 
 
-def _correspondence(res_from, res_to):
-    """Mask transport between resolutions whose components correspond:
-    a component goes to the one holding its first shared node, a free
-    circle to the free circle of the same position."""
-    node_to = {}
-    for j, comp in enumerate(res_to.components):
-        for x in comp.ports:
-            node_to[x] = j
-    free_from = res_from.free_circle_indices
-    free_to = res_to.free_circle_indices
-    bits_from, bits_to = circle_bits(res_from), circle_bits(res_to)
-    images = [0] * res_from.r
-    for i, comp in enumerate(res_from.components):
-        if not bits_from[i]:
-            continue
-        shared = [x for x in comp.ports if x in node_to]
-        j = node_to[shared[0]] if shared else free_to[free_from.index(i)]
-        images[bits_from[i].bit_length() - 1] = bits_to[j]
+def _correspondence(src, dst, to, t, free):
+    """Mask transport between two states with t arcs each, given as
+    ``walk`` results, whose components correspond: the component of rank
+    k goes to the one of rank ``to[k]`` (no image when negative), and the
+    ``free`` crossing-free circles, the lowest bits on both sides, keep
+    their bits."""
+    (comp_s, _, r_s), (comp_t, _, r_t) = src, dst
+    images = [1 << k if k < free else 0 for k in range(r_s)]
+    for k, j in enumerate(to):
+        b = circle_bit(r_s, t, comp_s[k])
+        if j >= 0 and b:
+            images[b.bit_length() - 1] = circle_bit(r_t, t, comp_t[j])
     return bit_table(images)
 
 

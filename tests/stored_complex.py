@@ -8,13 +8,98 @@ the rank-only reduce that ran on those columns, remapping every column of
 a block into block-local rows, and ``stored_d_squared`` the d^2 check
 that multiplied dict columns.  ``GradedChainComplex.block_columns`` and
 its views must agree with these exactly.
+
+``StateTable``, ``classify`` and ``saddle_parts`` are the classifier the
+package used before it moved to rank space: it reads the component
+records of two ``Resolution``s, so it is kept here as the independent
+reference for ``cube.saddle``.
 """
 
 import itertools
 
 from tanglekh import linalg
-from tanglekh.cube import StateTable, classify, saddle_mask_map
+from tanglekh.cube import MaskMap, _local_terms, bit_table
 from tanglekh.diagram import resolve
+
+
+def circle_bits(res):
+    """The bit of each component: 1 << (r - 1 - k) for the k-th circle,
+    0 for an arc."""
+    out = []
+    k = res.r
+    for c in res.components:
+        if c.kind == "circle":
+            k -= 1
+            out.append(1 << k)
+        else:
+            out.append(0)
+    return out
+
+
+class StateTable:
+    """Index tables of one resolution: ``comp`` maps a node rank to its
+    component, ``first`` a component to the rank of its first node (-1
+    for a crossing-free circle), ``bits`` a component to its circle bit."""
+
+    __slots__ = ("res", "comp", "first", "bits")
+
+    def __init__(self, res, rank):
+        self.res = res
+        self.comp = comp = [0] * len(rank)
+        self.first = first = []
+        for ci, c in enumerate(res.components):
+            for x in c.ports:
+                comp[rank[x]] = ci
+            first.append(rank[c.ports[0]] if c.ports else -1)
+        self.bits = circle_bits(res)
+
+
+KINDS = {
+    (("circle", "circle"), ("circle",)): "circle-merge",
+    (("circle",), ("circle", "circle")): "circle-split",
+    (("arc", "arc"), ("arc", "arc")): "arc-arc-reconnect",
+    (("arc",), ("arc", "arc")): "arc-arc-reconnect",
+    (("arc", "arc"), ("arc",)): "arc-arc-reconnect",
+    (("arc",), ("arc", "circle")): "arc-split-circle",
+    (("arc", "circle"), ("arc",)): "arc-circle-merge",
+}
+
+
+def classify(src, dst, nodes):
+    """(kind, source active, target active, bystanders) of the move
+    re-pairing the four nodes (by rank) between two ``StateTable``s.  A
+    bystander goes to the target component of its first node;
+    crossing-free circles keep their order and sit last in both."""
+    cs, ct = src.comp, dst.comp
+    sa = tuple(sorted({cs[x] for x in nodes}))
+    ta = tuple(sorted({ct[x] for x in nodes}))
+    key = (tuple(sorted(src.res.components[i].kind for i in sa)),
+           tuple(sorted(dst.res.components[j].kind for j in ta)))
+    kind = KINDS.get(key)
+    if kind is None:
+        raise ValueError(f"active pattern {key} is outside the five cases")
+    shift = len(dst.first) - len(src.first)
+    bystanders = tuple((i, ct[f] if f >= 0 else i + shift)
+                       for i, f in enumerate(src.first) if i not in sa)
+    return kind, sa, ta, bystanders
+
+
+def saddle_parts(cls, src_bits, dst_bits):
+    """``(images, active, terms)`` of a classified saddle."""
+    kind, sa, ta, bystanders = cls
+    images = [0] * max(src_bits, default=0).bit_length()
+    for i, j in bystanders:
+        b = src_bits[i]
+        if b:
+            images[b.bit_length() - 1] = dst_bits[j]
+    active, terms = _local_terms(kind, tuple([src_bits[i] for i in sa]),
+                                 tuple([dst_bits[j] for j in ta]))
+    return tuple(images), active, terms
+
+
+def saddle_mask_map(cls, src_bits, dst_bits):
+    images, active, terms = saddle_parts(cls, src_bits, dst_bits)
+    return MaskMap(bit_table(images), active, terms)
 
 
 class StoredComplex:

@@ -19,9 +19,8 @@ from tanglekh.algebra import GF2, MERGE, QQ, SPLIT, PrimeField, phi
 from tanglekh.complex import build_complex
 from tanglekh.diagram import (ComponentRecord, Crossing, Resolution,
                               TangleDiagram, apply_planar, resolve)
-from tanglekh.persistence import (ClosureMorphismSpec, _portless_arc_lookup,
-                                  build_psi, cap_map, cup_map, saddle_map,
-                                  saddle_target_diagram)
+from tanglekh.persistence import (ClosureMorphismSpec, build_psi, cap_map,
+                                  cup_map, saddle_map, saddle_target_diagram)
 
 from conftest import (braid_closure, closing_operator, random_braid_diagram,
                       tangle_with_extra_arcs)
@@ -219,6 +218,17 @@ def empty_columns(ref):
     return {p: [{} for _ in g] for p, g in ref.basis.items()}
 
 
+def portless_arc_lookup(d, res):
+    """Component index of each portless arc, by canonical arc order."""
+    eps = {frozenset(pair): i for i, pair in enumerate(d.portless_arcs())}
+    out = {}
+    for ci, comp in enumerate(res.components):
+        if comp.kind == "arc" and not any(
+                d.is_port(x) for x in comp.ports):
+            out[eps[frozenset(comp.endpoints)]] = ci
+    return out
+
+
 def ref_psi(src, dst, spec):
     columns = empty_columns(src)
     for (state, labels), (p, i) in src.index.items():
@@ -227,8 +237,8 @@ def ref_psi(src, dst, spec):
                    for x in c.ports}
         src_free, tgt_free = (res_s.free_circle_indices,
                               res_t.free_circle_indices)
-        src_arcs = _portless_arc_lookup(spec.source, res_s)
-        tgt_arcs = _portless_arc_lookup(spec.target, res_t)
+        src_arcs = portless_arc_lookup(spec.source, res_s)
+        tgt_arcs = portless_arc_lookup(spec.target, res_t)
         mapping = {}
         for k, comp in enumerate(res_s.components):
             ports = [x for x in comp.ports if spec.source.is_port(x)]

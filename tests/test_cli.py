@@ -1,10 +1,14 @@
 import csv
 import json
 
+from fractions import Fraction
+
 import pytest
 
-from tanglekh.algebra import QQ
+from tanglekh import linalg
+from tanglekh.algebra import QQ, field_from_name
 from tanglekh.cli import main
+from tanglekh.complex import build_complex
 from tanglekh.ingest import CurveSet
 from tanglekh.persistence import Filtration, saddle_target_diagram
 
@@ -44,7 +48,41 @@ def test_compute_generators_and_out_file(tmp_path):
     assert main(["compute", path, "--field", "q", "--generators",
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["generators"] == {"0,-1": [[1]]}
+    assert report["generators"] == {"0,-1": [[[[0], ["w", "-"], "1"]]]}
+
+
+@pytest.mark.parametrize("name", ["q", "fp:3", "f2"])
+def test_compute_generators_are_cocycles_with_coefficients(tmp_path, capsys,
+                                                           name):
+    """Each representative is read back through ``c.index`` with its
+    coefficients and must be a cocycle: d(rep) = 0 in the field."""
+    field = field_from_name(name)
+    for k, d in enumerate((braid_closure([1, 1, 1], 2),
+                           braid_tangle([1, -2, 1, 2], 3),
+                           braid_closure([1, -2, 1, -2], 3))):
+        path = diagram_file(tmp_path, d, f"d{k}.json")
+        assert main(["compute", path, "--field", name, "--generators"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        ranks = {f"{r['p']},{r['q']}": r["rank"] for r in report["ranks"]}
+        assert {key: len(reps) for key, reps in
+                report["generators"].items()} == ranks
+        c = build_complex(d, field=field)
+        for key, reps in report["generators"].items():
+            p = int(key.split(",")[0])
+            for rep in reps:
+                vec = {}
+                for state, labels, coeff in rep:
+                    assert isinstance(coeff, str if field.char == 0 else int)
+                    pp, i = c.index[(tuple(state), tuple(labels))]
+                    assert pp == p and i not in vec
+                    vec[i] = field.coerce(Fraction(coeff))
+                assert list(vec) == sorted(vec)
+                assert vec and all(x != field.zero for x in vec.values())
+                image = {}
+                for i, x in vec.items():
+                    linalg.add_into(image, c.differential_column(p, i), x,
+                                    field)
+                assert image == {}, (name, key)
 
 
 def test_compute_csv(tmp_path):

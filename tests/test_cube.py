@@ -3,11 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from tanglekh.cube import (EdgeDescriptor, classify_saddle, edge_sign, edges,
-                           transfer_labels)
 from tanglekh.diagram import resolve
 
 from conftest import braid_closure, kink_arc
+from cube_helpers import (EdgeDescriptor, classify_saddle, edge_sign, edges,
+                          transfer_labels)
 
 
 def test_edge_target_and_word():

@@ -1,0 +1,160 @@
+"""The rank-space pass of ``build_complex`` against the Resolution-based
+reference: per state, the component array of ``diagram.walk``, (r, t) and
+the classified ``Edge`` tuples must equal what ``diagram.resolve`` plus the
+old classifier in ``stored_complex`` give, on braid closures and tangles
+with portless arcs, free circles and kinks, on the targets of random
+(also non-planar) saddle sites, and with a flipped edge sign."""
+
+import itertools
+import random
+
+import pytest
+
+from tanglekh import complex as cx, diagram as dg
+from tanglekh.algebra import GF2
+from tanglekh.complex import Edge, build_complex, homology
+from tanglekh.cube import saddle
+from tanglekh.diagram import resolve, walk
+from tanglekh.persistence import saddle_target_diagram
+
+from conftest import (bare_arc, braid_closure, kink_arc, random_braid_diagram,
+                      tangle_with_extra_arcs)
+from stored_complex import StateTable, classify, saddle_parts
+from test_assemble import ref_resolve, saddle_sites
+
+
+def diagrams():
+    rng = random.Random(83)
+    out = [kink_arc(1), kink_arc(-1), bare_arc(), braid_closure([1], 2),
+           braid_closure([1, -1, 1, 1], 2),
+           dg.TangleDiagram(free_circles=2)]
+    for k in range(18):
+        if k % 3 == 2:
+            out.append(tangle_with_extra_arcs(rng, max_crossings=4,
+                                              n_arcs=rng.randint(1, 2)))
+        else:
+            out.append(random_braid_diagram(rng, 6, closed=k % 3 == 0))
+    # targets of random sites: some leave the five local cases
+    out += [saddle_target_diagram(d, site)
+            for d, site in saddle_sites(random.Random(59), 12)]
+    return out
+
+
+def reference(d, sign_flip):
+    """state -> ``StateTable`` of its resolution, and state -> edges; or
+    ValueError when an edge is outside the five local cases."""
+    _, rank, _, ports = d.wiring()
+    tables = {}
+    for state in itertools.product((0, 1), repeat=d.n):
+        res = resolve(d, state)
+        assert res == ref_resolve(d, state)
+        tables[state] = StateTable(res, rank)
+    edges = {}
+    for state, src in tables.items():
+        out = []
+        for star, bit in enumerate(state):
+            if bit:
+                continue
+            target = state[:star] + (1,) + state[star + 1:]
+            dst = tables[target]
+            images, active, terms = saddle_parts(
+                classify(src, dst, ports[star]), src.bits, dst.bits)
+            negative = (sum(state[:star]) % 2 == 1) != \
+                (sign_flip == (state, star))
+            out.append(Edge(target, negative, images, active, terms))
+        edges[state] = tuple(out)
+    return tables, edges
+
+
+def test_components_and_edges_match_reference():
+    rng = random.Random(89)
+    refused = matched = 0
+    for d in diagrams():
+        flips = [None]
+        if d.crossings:
+            state = [rng.randint(0, 1) for _ in d.crossings]
+            star = rng.randrange(d.n)
+            state[star] = 0
+            flips.append((tuple(state), star))
+        for flip in flips:
+            try:
+                tables, edges = reference(d, flip)
+            except ValueError:
+                with pytest.raises(ValueError, match="five local cases"):
+                    build_complex(d, sign_flip=flip)
+                refused += 1
+                continue
+            c = build_complex(d, sign_flip=flip)
+            for state, table in tables.items():
+                comp, order, r = walk(d, state)
+                assert comp == table.comp
+                assert sorted(order) == list(range(len(comp)))
+                assert c.rt[state] == (table.res.r, table.res.t) == \
+                    (r, len(d.boundary) // 2)
+                assert c.edges[state] == edges[state]
+                assert c.resolutions[state] == table.res
+            matched += 1
+    assert refused >= 2 and matched >= 40
+
+
+def test_site_saddles_match_reference():
+    """The re-pairing of a saddle site, classified per state as
+    ``saddle_map`` does, against the old classifier; non-planar sites may
+    leave the five local cases, and then both refuse."""
+    outcomes = set()
+    for d, ((a, b), (cc, dd)) in saddle_sites(random.Random(59), 24):
+        d2 = saddle_target_diagram(d, ((a, b), (cc, dd)))
+        rank = d.wiring()[1]
+        ports = tuple(rank[x] for x in (a, cc, dd, b))
+        t = len(d.boundary) // 2
+        for state in itertools.product((0, 1), repeat=d.n):
+            src, dst = (StateTable(resolve(d, state), rank),
+                        StateTable(resolve(d2, state), rank))
+            (cs, _, rs), (ct, _, rt) = walk(d, state), walk(d2, state)
+            new = ((cs, rs), (ct, rt))
+            try:
+                ref = saddle_parts(classify(src, dst, ports), src.bits,
+                                   dst.bits)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    saddle(*new, t, ports)
+                outcomes.add("refused")
+                continue
+            assert saddle(*new, t, ports)[1:] == ref
+            outcomes.add("matched")
+    assert outcomes == {"refused", "matched"}
+
+
+def test_pattern_outside_the_five_cases_raises():
+    # one circle through all four ports, on both sides of the move
+    one_circle = ([0, 0, 0, 0], 1)
+    with pytest.raises(ValueError, match="five local cases"):
+        saddle(one_circle, one_circle, 0, (0, 1, 2, 3))
+    # an arc on both sides, without a second component
+    one_arc = ([0, 0, 0, 0, 0, 0], 0)
+    with pytest.raises(ValueError, match="five local cases"):
+        saddle(one_arc, one_arc, 1, (2, 3, 4, 5))
+
+
+def basis(c):
+    return {p: list(gens) for p, gens in c.basis.items()}
+
+
+def test_build_complex_never_resolves(monkeypatch):
+    """Nor do homology, basis decoding and ``c.index``: arcs come first in
+    component order, so (r, t) names every labeling."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_complex made a Resolution")
+
+    expect = {}
+    picked = diagrams()[:12]
+    for d in picked:
+        c = build_complex(d)
+        expect[d] = (homology(c).representatives, basis(c), dict(c.index))
+    for owner, attr in ((dg, "resolve"), (cx, "resolve"),
+                        (dg, "Resolution"), (dg, "ComponentRecord")):
+        monkeypatch.setattr(owner, attr, refuse)
+    for d in picked:
+        c = build_complex(d, field=GF2)
+        assert (homology(c).representatives, basis(c),
+                dict(c.index)) == expect[d]
