@@ -87,11 +87,14 @@ def cmd_compute(args):
         report["jones"] = jones_from_homology(h).to_json()
     if args.generators:
         basis = c.basis
-        exact = str if field.char == 0 else int
+        exact = str if field.char == 0 else int   # "-1/2" over Q
+
+        def entry(p, i, x):
+            g = basis[p][i]
+            return [list(g.state), list(g.labels), exact(x)]
+
         report["generators"] = {
-            f"{p},{q}": [[[list(g.state), list(g.labels), exact(x)]
-                          for i, x in sorted(v.items())
-                          for g in (basis[p][i],)]
+            f"{p},{q}": [[entry(p, i, x) for i, x in sorted(v.items())]
                          for v in vs]
             for (p, q), vs in h.representatives.items()}
     _write(report, args.out, args.format)
