@@ -48,13 +48,31 @@ def _write(payload, out, fmt):
             print(text)
 
 
-def _load_diagram(path):
+def _read(path, what, parse):
+    """``parse`` of the JSON in ``path``.  A file that cannot be opened,
+    decoded or parsed exits 2 with one line saying why."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise SystemExit2(f"cannot read diagram {path}: {e}")
-    d = TangleDiagram.from_json(data)
+            return parse(json.load(fh))
+    except (OSError, KeyError, IndexError, TypeError, ValueError) as e:
+        why = f"missing key {e}" if isinstance(e, KeyError) else e
+        raise SystemExit2(f"cannot read {what} {path}: {why}")
+
+
+def _of_type(kind, value, what):
+    """``value`` if it is a ``kind``, else TypeError naming ``what``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} is a {type(value).__name__}, "
+                        f"not a {kind.__name__}")
+    return value
+
+
+def _diagram(data):
+    return TangleDiagram.from_json(_of_type(dict, data, "a diagram"))
+
+
+def _load_diagram(path):
+    d = _read(path, "diagram", _diagram)
     rep = validate(d)
     if not rep.ok:
         raise SystemExit2(f"invalid diagram {path}: " + "; ".join(rep.problems))
@@ -103,13 +121,8 @@ def cmd_compute(args):
 
 def cmd_oracle(args):
     d = _load_diagram(args.diagram)
-    sign_flip = None
-    if getattr(args, "corrupt_sign", False) and d.crossings:
-        # self-test hook: negate one cube edge so the verdict must flip
-        sign_flip = ((0,) * len(d.crossings), 0)
     try:
-        c = build_complex(d, functor="G", field=field_from_name("q"),
-                          sign_flip=sign_flip)
+        c = build_complex(d, functor="G", field=field_from_name("q"))
     except ComplexError as e:
         raise SystemExit2(str(e))
     # homology ranks assume d^2 = 0, so a broken complex has no homology side
@@ -127,10 +140,18 @@ def cmd_oracle(args):
 
 
 def filtration_from_json(data, functor="G", field=None):
-    diagrams = [TangleDiagram.from_json(d) for d in data["diagrams"]]
-    steps = [_step_from_json(i, raw, diagrams)
-             for i, raw in enumerate(data.get("steps", ()))]
-    return Filtration(grades=list(data["grades"]), diagrams=diagrams,
+    """The ``Filtration`` of a filtration file; KeyError, TypeError or
+    ValueError when the file is malformed."""
+    _of_type(dict, data, "a filtration")
+    grades = _of_type(list, data["grades"], "grades")
+    for g in grades:
+        if isinstance(g, bool) or not isinstance(g, (int, float)):
+            raise TypeError(f"grade {g!r} is not a number")
+    diagrams = [_diagram(d)
+                for d in _of_type(list, data["diagrams"], "diagrams")]
+    steps = [_step_from_json(i, raw, diagrams) for i, raw in
+             enumerate(_of_type(list, data.get("steps", []), "steps"))]
+    return Filtration(grades=grades, diagrams=diagrams,
                       steps=steps, functor=functor, field=field)
 
 
@@ -158,9 +179,13 @@ def _step_from_json(i, raw, diagrams):
             if len(site) != 2:
                 raise ValueError("a saddle site is two connections")
             return {**raw, "site": {**raw["site"], "from": site}}
+        if kind == "cup" and "site" in raw:
+            site = raw["site"]
+            if isinstance(site, bool) or not isinstance(site, int):
+                raise TypeError("a cup site is the index of a free circle")
         return dict(raw)
     except (KeyError, IndexError, TypeError, ValueError) as e:
-        raise SystemExit2(f"step {i}: malformed step {raw!r}: {e!r}")
+        raise ValueError(f"step {i}: malformed step {raw!r}: {e!r}") from e
 
 
 def _pair(x):
@@ -169,14 +194,11 @@ def _pair(x):
 
 
 def cmd_persist(args):
+    field = _field(args.field)
+    filt = _read(args.filtration, "filtration",
+                 lambda data: filtration_from_json(
+                     data, functor=args.functor.upper(), field=field))
     try:
-        with open(args.filtration) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise SystemExit2(f"cannot read filtration {args.filtration}: {e}")
-    try:
-        filt = filtration_from_json(data, functor=args.functor.upper(),
-                                    field=_field(args.field))
         rows = filt.barcode_report()
     except (MorphismError, ComplexError) as e:
         raise SystemExit2(str(e))
@@ -260,8 +282,6 @@ def main(argv=None):
 
     p = sub.add_parser("oracle", help="compare homology with the state sum")
     p.add_argument("diagram")
-    p.add_argument("--corrupt-sign", action="store_true",
-                   help=argparse.SUPPRESS)
     common(p)
     p.set_defaults(fn=cmd_oracle)
 

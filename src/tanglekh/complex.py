@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .algebra import GF2, Generator
-from .cube import bit_table, labels_of, mask_of, saddle
+from .cube import bystanders, labels_of, mask_of, saddle
 from .diagram import TangleDiagram, resolve, validate, walk
 
 
@@ -175,7 +175,7 @@ class GradedChainComplex:
                 base = rows.get(target)
                 if base is not None:   # else no mask of this block reaches it
                     edges.append((
-                        base, _bystanders(images), active, terms,
+                        base, bystanders(images), active, terms,
                         _colex(self.rt[target][0]),
                         neg if negative else pos))
             for j, m in enumerate(_by_popcount(r)[k], start):
@@ -205,7 +205,7 @@ class GradedChainComplex:
         cols = [{} for _ in masks]
         for target, negative, images, active, terms in self.edges[state]:
             row_off = self.layout[target][1]
-            by = _bystanders(images)
+            by = bystanders(images)
             x = neg if negative else one
             for col, m in zip(cols, masks):
                 b = row_off + by[m]   # b | t == b + t: the bits are disjoint
@@ -221,13 +221,6 @@ class GradedChainComplex:
     def differentials(self):
         """p -> the columns of d^p, computed state by state on demand."""
         return {p: _DegreeColumns(self, p) for p in self.degrees}
-
-
-@lru_cache(maxsize=4096)
-def _bystanders(images):
-    """The bystander table of a saddle: few distinct ``images`` occur, so
-    each table is built once."""
-    return bit_table(images)
 
 
 @lru_cache(maxsize=None)
@@ -338,8 +331,8 @@ class _Resolutions(Mapping):
         return len(self._c.layout)
 
 
-def build_complex(d: TangleDiagram, functor="G", field=GF2,
-                  sign_flip=None) -> GradedChainComplex:
+def build_complex(d: TangleDiagram, functor="G",
+                  field=GF2) -> GradedChainComplex:
     """Assemble the cochain complex of ``d`` under the given functor.
 
     Each state is walked once into a node -> component array
@@ -348,9 +341,6 @@ def build_complex(d: TangleDiagram, functor="G", field=GF2,
     differential column is built here (see ``block_columns``).  Distinct
     edges of a state reach distinct target states and a split's two target
     masks differ, so every (column, row) entry is a single signed term.
-
-    ``sign_flip`` optionally names one edge ``(state, star)`` whose sign is
-    negated; it exists purely as a corruption hook for self-tests.
     """
     rep = validate(d)
     if not rep.ok:
@@ -388,8 +378,7 @@ def build_complex(d: TangleDiagram, functor="G", field=GF2,
             target = k + (1 << (n - 1 - star))
             _, images, active, terms = saddle(src, comps[target], t,
                                               ports[star])
-            out.append(Edge(states[target],
-                            (ones % 2 == 1) != (sign_flip == (state, star)),
+            out.append(Edge(states[target], ones % 2 == 1,
                             images, active, terms))
         edges[state] = tuple(out)
 

@@ -51,29 +51,11 @@ def bit_table(images):
     return out
 
 
-class MaskMap:
-    """A map sending source mask m to the masks by[m] | t, t in
-    terms[m & active].  ``by`` carries the bystander bits, ``terms`` the
-    local map on the active bits; the two never share a bit."""
-
-    __slots__ = ("by", "active", "terms")
-
-    def __init__(self, by, active, terms):
-        self.by = by
-        self.active = active
-        self.terms = terms
-
-    def fill(self, cols, off, row_off, value):
-        """Set ``cols[off + m][row_off + t] = value`` for every source mask
-        m and target mask t.  Each (column, row) is written once."""
-        active, terms = self.active, self.terms
-        for m, b in enumerate(self.by):
-            ts = terms[m & active]
-            if ts:
-                col = cols[off + m]
-                b += row_off   # b | t == b + t: the bits are disjoint
-                for t in ts:
-                    col[b + t] = value
+@lru_cache(maxsize=4096)
+def bystanders(images):
+    """``bit_table(images)``, the bystander table of a saddle or chain-map
+    record, built once: few distinct ``images`` occur."""
+    return bit_table(images)
 
 
 # -- classifying a saddle ------------------------------------------------

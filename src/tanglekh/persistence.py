@@ -3,20 +3,22 @@
 Closure morphisms (from 1-input planar operations) induce the monomial
 chain map: arcs that stay arcs keep w, circles keep their label, arcs
 that close up send w to v-, and every brand-new circle is filled with v+.
-Cap, cup, and saddle generator maps are provided for the link case, the
-saddle both as the direct state-wise map and as the projection out of the
-mapping-cone complex of the added crossing.
+Cap, cup, and saddle generator maps are provided for the link case.
+Every such map sends the generators over a state to those over the same
+state of the target, so it is stored as one ``cube.saddle``-style record
+per state and applied on demand, as the differential is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .algebra import LaurentPolynomial
 from .complex import BigradedHomology, GradedChainComplex, build_complex
-from .cube import MaskMap, bit_table, circle_bit, saddle
-from .diagram import Crossing, TangleDiagram, walk
+from .cube import bystanders, circle_bit, saddle
+from .diagram import TangleDiagram, walk
 
 
 class MorphismError(ValueError):
@@ -78,32 +80,39 @@ class ClosureMorphismSpec:
 
 @dataclass
 class ChainMap:
+    """A chain map sending the generators over each state to those over
+    the same state of ``dst``.  ``parts[state]`` is an ``(images, active,
+    terms)`` record as ``cube.saddle`` gives it: source mask m goes to the
+    target masks by[m] | t, t in terms[m & active], by =
+    ``bit_table(images)``, each with coefficient 1."""
+
     src: GradedChainComplex
     dst: GradedChainComplex
-    columns: dict   # p -> list of column dicts into dst basis[p] indices
+    parts: dict      # state -> (images, active, terms)
     q_shift: int
 
+    def _column(self, state, m):
+        images, active, terms = self.parts[state]
+        b = self.dst.layout[state][1] + bystanders(images)[m]
+        one = self.src.field.one
+        return {b + t: one for t in terms[m & active]}   # b | t == b + t
+
     def apply(self, p, vec):
-        cols = self.columns.get(p)
-        if cols is None:
-            return {}
-        return linalg.matvec(cols, vec, self.src.field)
+        """The image of the chain vector ``vec`` {index: coefficient} of
+        degree p, summed in the field."""
+        out = {}
+        for i, x in vec.items():
+            linalg.add_into(out, self._column(*self.src.locate(p, i)), x,
+                            self.src.field)
+        return out
 
-
-def compose(g: ChainMap, f: ChainMap) -> ChainMap:
-    """The composite g after f."""
-    if g.src is not f.dst and g.src.diagram != f.dst.diagram:
-        raise MorphismError("chain maps are not composable")
-    field = f.src.field
-    columns = {}
-    for p, cols in f.columns.items():
-        gcols = g.columns.get(p)
-        if gcols is None:
-            columns[p] = [dict() for _ in cols]
-        else:
-            columns[p] = linalg.matmul(gcols, cols, field)
-    return ChainMap(src=f.src, dst=g.dst, columns=columns,
-                    q_shift=f.q_shift + g.q_shift)
+    @cached_property
+    def columns(self):
+        """p -> the column of each generator of degree p, as dicts into
+        the indices of ``dst``, built on first access."""
+        return {p: [self._column(*self.src.locate(p, i))
+                    for i in range(self.src.dim(p))]
+                for p in self.src.degrees}
 
 
 def verify_chain_map(f: ChainMap):
@@ -165,11 +174,10 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
     nb_s, nb_t = len(ds.boundary), len(dt.boundary)
     arcs_s = _portless_ranks(ds)
     arcs_t = _portless_ranks(dt)
-    one = src.field.one
-    columns = _empty_columns(src)
+    parts = {}
     q_shift = None
 
-    for state, (p, off) in src.layout.items():
+    for state in src.layout:
         comp_s, _, r_s = walk(ds, state)
         comp_t, _, r_t = walk(dt, state)
         (_, t_s), (_, t_t) = src.rt[state], dst.rt[state]
@@ -212,10 +220,9 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
                 bit_images[circle_bit(r_s, t_s, i).bit_length() - 1] = b
             else:
                 closed |= b
-        MaskMap(bit_table(bit_images), 0, {0: (closed,)}).fill(
-            columns[p], off, dst.layout[state][1], one)
+        parts[state] = (tuple(bit_images), 0, {0: (closed,)})
 
-    return ChainMap(src=src, dst=dst, columns=columns,
+    return ChainMap(src=src, dst=dst, parts=parts,
                     q_shift=0 if q_shift is None else q_shift)
 
 
@@ -224,20 +231,6 @@ def _portless_ranks(d: TangleDiagram):
     order."""
     rank = d.wiring()[1]
     return [rank[a] for a, _ in d.portless_arcs()]
-
-
-def _empty_columns(c: GradedChainComplex):
-    return {p: [{} for _ in range(c.dim(p))] for p in c.degrees}
-
-
-def _fill_each_state(src, dst, mask_map):
-    """Chain map columns from ``mask_map(state)``, the map of the
-    generators over one state into those of ``dst`` over the same state."""
-    columns = _empty_columns(src)
-    for state, (p, off) in src.layout.items():
-        mask_map(state).fill(columns[p], off, dst.layout[state][1],
-                             src.field.one)
-    return columns
 
 
 # -- cobordism generator maps (link mode) --------------------------------
@@ -265,39 +258,33 @@ def cap_map(c: GradedChainComplex, dst=None):
                        free_circles=c.diagram.free_circles + 1)
     dst = _target(c, d2, dst, "cap")
     # the new circle comes last: the lowest bit, labelled v+
-
-    def shifted(state):
-        return MaskMap(bit_table([2 << k for k in
-                                  range(c.rt[state][0])]),
-                       0, {0: (0,)})
-
-    columns = _fill_each_state(c, dst, shifted)
-    return ChainMap(src=c, dst=dst, columns=columns, q_shift=1)
+    parts = {state: (tuple(2 << k for k in range(r)), 0, {0: (0,)})
+             for state, (r, _) in c.rt.items()}
+    return ChainMap(src=c, dst=dst, parts=parts, q_shift=1)
 
 
 def cup_map(c: GradedChainComplex, circle_index=-1, dst=None):
     """x (x) v+ -> 0, x (x) v- -> x, deleting one crossing-free circle.
 
     ``dst`` is the complex without that circle, when already built."""
-    if c.diagram.free_circles < 1:
+    free = c.diagram.free_circles
+    if free < 1:
         raise MorphismError("cup map needs a crossing-free circle")
-    circle_index = range(c.diagram.free_circles)[circle_index]
+    if not -free <= circle_index < free:
+        raise MorphismError(f"free circle index {circle_index} out of range")
+    circle_index %= free
     d2 = TangleDiagram(boundary=c.diagram.boundary,
                        crossings=c.diagram.crossings,
                        connections=c.diagram.connections,
-                       free_circles=c.diagram.free_circles - 1)
+                       free_circles=free - 1)
     dst = _target(c, d2, dst, "cup")
     # free circles are the lowest bits, the first one highest among them
-    b = c.diagram.free_circles - 1 - circle_index
-
-    def deleted(state):
-        r = c.rt[state][0]
-        return MaskMap(bit_table([1 << k for k in range(b)] + [0]
-                                 + [1 << k for k in range(b, r - 1)]),
-                       1 << b, {0: (), 1 << b: (0,)})
-
-    columns = _fill_each_state(c, dst, deleted)
-    return ChainMap(src=c, dst=dst, columns=columns, q_shift=1)
+    b = free - 1 - circle_index
+    parts = {state: (tuple([1 << k for k in range(b)] + [0]
+                           + [1 << k for k in range(b, r - 1)]),
+                     1 << b, {0: (), 1 << b: (0,)})
+             for state, (r, _) in c.rt.items()}
+    return ChainMap(src=c, dst=dst, parts=parts, q_shift=1)
 
 
 def saddle_target_diagram(d: TangleDiagram, site):
@@ -318,95 +305,26 @@ def saddle_target_diagram(d: TangleDiagram, site):
                          free_circles=d.free_circles)
 
 
-def saddle_map(src: GradedChainComplex, dst: GradedChainComplex, site,
-               construction="direct") -> ChainMap:
-    """The chain map of a saddle cobordism between ``src`` and ``dst``.
-
-    The direct construction applies the local merge/split at the site in
-    every state; the cone construction realizes the map as the projection
-    p1 of the differential of the complex with one extra crossing at the
-    site.  Both must agree.
-    """
+def saddle_map(src: GradedChainComplex, dst: GradedChainComplex,
+               site) -> ChainMap:
+    """The chain map of a saddle cobordism between ``src`` and ``dst``:
+    the local merge or split at the site, in every state."""
     (a, b), (cc, dd) = site
     if saddle_target_diagram(src.diagram, site) != dst.diagram:
         raise MorphismError(
             "diagrams do not differ by the given site re-pairing")
-    if construction == "cone":
-        return _saddle_cone(src, dst, site)
-
     # the target has the same nodes; the source joins a-b and cc-dd like
     # the 0-smoothing of ports (a, cc, dd, b), the target a-cc and b-dd
     # like their 1-smoothing
     rank = src.diagram.wiring()[1]
     ports = tuple(rank[x] for x in (a, cc, dd, b))
     t = len(src.diagram.boundary) // 2
-
-    def local(state):
+    parts = {}
+    for state in src.layout:
         comp_s, _, r_s = walk(src.diagram, state)
         comp_t, _, r_t = walk(dst.diagram, state)
-        _, images, active, terms = saddle((comp_s, r_s), (comp_t, r_t), t,
-                                          ports)
-        return MaskMap(bit_table(images), active, terms)
-
-    columns = _fill_each_state(src, dst, local)
-    return ChainMap(src=src, dst=dst, columns=columns, q_shift=-1)
-
-
-def _saddle_cone(src: GradedChainComplex, dst: GradedChainComplex, site):
-    """p1 after the cone differential, built from the extra-crossing
-    complex whose 0-smoothing restores the source pairing."""
-    (a, b), (cc, dd) = site
-    d = src.diagram
-    new_id = (min(c.id for c in d.crossings) - 1) if d.crossings else 0
-    xp = tuple(("cone", new_id, k) for k in range(4))
-    pairs = [p for p in d.connections
-             if frozenset(p) not in (frozenset((a, b)), frozenset((cc, dd)))]
-    # 0-smoothing joins (x0,x3),(x1,x2): a-b and c-d; 1-smoothing joins
-    # (x0,x1),(x2,x3): a-c and b-d
-    pairs += [(a, xp[0]), (cc, xp[1]), (dd, xp[2]), (b, xp[3])]
-    tilde = TangleDiagram(
-        boundary=d.boundary,
-        crossings=d.crossings + (Crossing(id=new_id, ports=xp, sign=-1),),
-        connections=pairs, free_circles=d.free_circles)
-    ct = build_complex(tilde, functor=src.functor, field=src.field)
-
-    # the cone crossing has the smallest id: its four ports take the ranks
-    # right after the boundary, and the other ports move up by 4
-    nb, t = len(d.boundary), len(d.boundary) // 2
-    into = [k if k < nb else k + 4 for k in range(len(d.wiring()[0]))]
-    back = list(range(nb)) + [-1] * 4 + list(range(nb, len(into)))
-    columns = _empty_columns(src)
-    for state, (p, off) in src.layout.items():
-        # new crossing has the smallest id, so it is the first state bit
-        _, d_off, d_count = ct.span((1,) + state)
-        tp, t_off, _ = ct.span((0,) + state)
-        to_cone = _correspondence(walk(d, state), walk(tilde, (0,) + state),
-                                  into, t, d.free_circles)
-        from_cone = _correspondence(walk(tilde, (1,) + state),
-                                    walk(dst.diagram, state), back, t,
-                                    d.free_circles)
-        row_off = dst.layout[state][1]
-        for m in range(src.span(state)[2]):
-            col = ct.differential_column(tp, t_off + to_cone[m])
-            columns[p][off + m] = {row_off + from_cone[j - d_off]: x
-                                   for j, x in col.items()
-                                   if d_off <= j < d_off + d_count}
-    return ChainMap(src=src, dst=dst, columns=columns, q_shift=-1)
-
-
-def _correspondence(src, dst, to, t, free):
-    """Mask transport between two states with t arcs each, given as
-    ``walk`` results, whose components correspond: the component of rank
-    k goes to the one of rank ``to[k]`` (no image when negative), and the
-    ``free`` crossing-free circles, the lowest bits on both sides, keep
-    their bits."""
-    (comp_s, _, r_s), (comp_t, _, r_t) = src, dst
-    images = [1 << k if k < free else 0 for k in range(r_s)]
-    for k, j in enumerate(to):
-        b = circle_bit(r_s, t, comp_s[k])
-        if j >= 0 and b:
-            images[b.bit_length() - 1] = circle_bit(r_t, t, comp_t[j])
-    return bit_table(images)
+        parts[state] = saddle((comp_s, r_s), (comp_t, r_t), t, ports)[1:]
+    return ChainMap(src=src, dst=dst, parts=parts, q_shift=-1)
 
 
 # -- induced maps on homology and the rank invariant ---------------------

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tanglekh import linalg
 from tanglekh.diagram import Crossing, TangleDiagram
 
 
@@ -143,6 +144,18 @@ def closing_operator(boundary, n_core, rng, tag=0):
     return PlanarTangleSpec(inner_boundary=inner,
                             outer_boundary=tuple(outer),
                             arcs=arcs, circles=rng.randint(0, 1))
+
+
+def compose(g, f):
+    """``(q_shift, columns)`` of the chain map g after f, multiplied out
+    from their columns."""
+    assert g.src is f.dst or g.src.diagram == f.dst.diagram
+    columns = {}
+    for p, cols in f.columns.items():
+        gcols = g.columns.get(p)
+        columns[p] = ([{} for _ in cols] if gcols is None
+                      else linalg.matmul(gcols, cols, f.src.field))
+    return f.q_shift + g.q_shift, columns
 
 
 def circle_polyline(radius, cx=0.0, cy=0.0, z=0.0, n=64):

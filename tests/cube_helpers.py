@@ -1,7 +1,8 @@
 """Cube helpers only the tests use: edges as words over {0, 1, *}, their
-signs, and one saddle classified and applied label by label through
-``cube.saddle``."""
+signs, one saddle classified and applied label by label through
+``cube.saddle``, and a complex with one edge sign negated."""
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -84,3 +85,16 @@ def transfer_labels(cls, res_s, res_t, src_labels):
     by = bit_table(cls.images)[m]
     return [labels_of(res_t.r, res_t.t, by | t)
             for t in cls.terms[m & cls.active]]
+
+
+def negate_edge(c, edge):
+    """A copy of the built complex ``c`` with the sign of one cube edge
+    ``(state, star)`` negated (``c`` itself when ``edge`` is None).  The
+    edges out of a state are stored by ascending crossing, one per 0 bit."""
+    if edge is None:
+        return c
+    state, star = edge
+    k = state[:star].count(0)
+    out = list(c.edges[state])
+    out[k] = out[k]._replace(negative=not out[k].negative)
+    return dataclasses.replace(c, edges={**c.edges, state: tuple(out)})

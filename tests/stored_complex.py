@@ -12,14 +12,41 @@ its views must agree with these exactly.
 ``StateTable``, ``classify`` and ``saddle_parts`` are the classifier the
 package used before it moved to rank space: it reads the component
 records of two ``Resolution``s, so it is kept here as the independent
-reference for ``cube.saddle``.
+reference for ``cube.saddle``.  ``MaskMap`` is the column filler the
+package used for the differential and the chain maps before both were
+applied on demand.
 """
 
 import itertools
 
 from tanglekh import linalg
-from tanglekh.cube import MaskMap, _local_terms, bit_table
+from tanglekh.cube import _local_terms, bit_table
 from tanglekh.diagram import resolve
+
+
+class MaskMap:
+    """A map sending source mask m to the masks by[m] | t, t in
+    terms[m & active].  ``by`` carries the bystander bits, ``terms`` the
+    local map on the active bits; the two never share a bit."""
+
+    __slots__ = ("by", "active", "terms")
+
+    def __init__(self, by, active, terms):
+        self.by = by
+        self.active = active
+        self.terms = terms
+
+    def fill(self, cols, off, row_off, value):
+        """Set ``cols[off + m][row_off + t] = value`` for every source mask
+        m and target mask t.  Each (column, row) is written once."""
+        active, terms = self.active, self.terms
+        for m, b in enumerate(self.by):
+            ts = terms[m & active]
+            if ts:
+                col = cols[off + m]
+                b += row_off   # b | t == b + t: the bits are disjoint
+                for t in ts:
+                    col[b + t] = value
 
 
 def circle_bits(res):

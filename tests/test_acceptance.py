@@ -17,13 +17,14 @@ from tanglekh.ingest import (CurveSet, Polyline, build_filtration,
                              sample_grades)
 from tanglekh.invariants import jones_from_homology, state_sum
 from tanglekh.persistence import (ClosureMorphismSpec, Filtration, build_psi,
-                                  cap_map, compose, compose_specs, cup_map,
+                                  cap_map, compose_specs, cup_map,
                                   induced_on_homology, rep_order, saddle_map,
                                   saddle_target_diagram, verify_chain_map)
 
 from conftest import (bare_arc, braid_closure, braid_tangle, circle_polyline,
-                      closing_operator, flat_trefoil_points, kink_arc,
-                      random_braid_diagram, tangle_with_extra_arcs)
+                      closing_operator, compose, flat_trefoil_points,
+                      kink_arc, random_braid_diagram, tangle_with_extra_arcs)
+from test_assemble import RefComplex, ref_saddle_cone
 
 
 def ranks_of(d, field=QQ):
@@ -126,10 +127,10 @@ def test_criterion_6_closure_chain_maps():
             ok, witness = verify_chain_map(psi)
             assert ok, witness
         psi12 = build_psi(c0, c2, compose_specs(spec2, spec1))
-        comp = compose(psi2, psi1)
-        assert psi12.q_shift == comp.q_shift
+        q_shift, columns = compose(psi2, psi1)
+        assert psi12.q_shift == q_shift
         for p in c0.degrees:
-            assert psi12.columns[p] == comp.columns[p]
+            assert psi12.columns[p] == columns[p]
 
     # the element chase, closing arc (x) circle (x) arc one arc at a time:
     # w (x) v+ (x) w  ->  v- (x) v+ (x) w  ->  v- (x) v+ (x) v-
@@ -190,11 +191,11 @@ def test_criterion_7_cobordism_generator_formulas():
         site = (d.connections[0], d.connections[1])
         d2 = saddle_target_diagram(d, site)
         cs, cd = build_complex(d, field=QQ), build_complex(d2, field=QQ)
-        direct = saddle_map(cs, cd, site, "direct")
-        cone = saddle_map(cs, cd, site, "cone")
-        assert direct.q_shift == cone.q_shift == -1
+        direct = saddle_map(cs, cd, site)
+        cone = ref_saddle_cone(RefComplex(d, QQ), RefComplex(d2, QQ), site)
+        assert direct.q_shift == -1
         for p in cs.degrees:
-            assert direct.columns[p] == cone.columns[p]
+            assert direct.columns[p] == cone[p]
 
 
 def check_barcode_laws(filt):

@@ -7,7 +7,10 @@ saddles are classified by port-set matching and applied one labeling at a
 time through an index dict.  The production code must agree with it bit
 for bit: the same basis order, the same differential columns (entries and
 insertion order), the same quantum blocks and the same chain-map columns,
-over F2, F3 and Q.
+over F2, F3 and Q.  A chain map applied to a random combination of
+generators must give the reference columns applied to it, and the saddle
+map must equal the projection out of the mapping cone of the added
+crossing.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import random
 
 import pytest
 
+from tanglekh import linalg
 from tanglekh.algebra import GF2, MERGE, QQ, SPLIT, PrimeField, phi
 from tanglekh.complex import build_complex
 from tanglekh.diagram import (ComponentRecord, Crossing, Resolution,
@@ -354,6 +358,24 @@ def same_columns(new_cols, ref_cols):
             assert list(a.items()) == list(b.items()), (p, i)
 
 
+def applies_like(f, ref_cols, rng):
+    """``f.apply`` on a random combination of the generators of each
+    degree equals the reference columns applied to it.  Returns how many
+    degrees saw terms cancel in the field."""
+    field = f.src.field
+    cancelled = 0
+    for p, cols in ref_cols.items():
+        vec = {}
+        for i in range(len(cols)):
+            x = field.coerce(rng.choice((1, 1, -1, 2)))
+            if rng.random() < 0.6 and x != field.zero:
+                vec[i] = x
+        expect = linalg.matvec(cols, vec, field)
+        assert f.apply(p, vec) == expect, p
+        cancelled += len(expect) < len({j for i in vec for j in cols[i]})
+    return cancelled
+
+
 def assert_same_complex(c, ref):
     d = ref.diagram
     for state, res in ref.resolutions.items():
@@ -408,7 +430,7 @@ def test_index_rejects_labelings_that_do_not_fit():
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_psi_matches_reference(field):
-    rng = random.Random(47)
+    rng, pick = random.Random(47), random.Random(48)
     for k in range(10):
         n_arcs = rng.randint(1, 2)
         d = tangle_with_extra_arcs(rng, max_crossings=3, n_arcs=n_arcs)
@@ -421,22 +443,28 @@ def test_psi_matches_reference(field):
         c0, c1 = build_complex(d, field=field), build_complex(target,
                                                               field=field)
         r0, r1 = RefComplex(d, field), RefComplex(target, field)
-        same_columns(build_psi(c0, c1, spec).columns, ref_psi(r0, r1, spec))
+        psi, expect = build_psi(c0, c1, spec), ref_psi(r0, r1, spec)
+        same_columns(psi.columns, expect)
+        applies_like(psi, expect, pick)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_cap_and_cup_match_reference(field):
-    rng = random.Random(53)
+    rng, pick = random.Random(53), random.Random(54)
     for _ in range(6):
         d = random_braid_diagram(rng, 5, closed=True)
         up = TangleDiagram(crossings=d.crossings, connections=d.connections,
                            free_circles=d.free_circles + 1)
         c, cu = build_complex(d, field=field), build_complex(up, field=field)
         r, ru = RefComplex(d, field), RefComplex(up, field)
-        same_columns(cap_map(c, dst=cu).columns, ref_cap(r, ru))
+        cap, expect = cap_map(c, dst=cu), ref_cap(r, ru)
+        same_columns(cap.columns, expect)
+        applies_like(cap, expect, pick)
         # deleting any one free circle of ``up`` leaves the complex of d
         for k in range(up.free_circles):
-            same_columns(cup_map(cu, k, dst=c).columns, ref_cup(ru, r, k))
+            cup, expect = cup_map(cu, k, dst=c), ref_cup(ru, r, k)
+            same_columns(cup.columns, expect)
+            applies_like(cup, expect, pick)
 
 
 def saddle_sites(rng, count):
@@ -454,8 +482,12 @@ def saddle_sites(rng, count):
 def test_saddle_maps_match_reference(field):
     """Random sites include re-pairings outside the five local cases
     (one circle to one circle), in the map or in the target's own cube;
-    both sides must refuse those."""
-    matched = 0
+    both sides must refuse those.  The map must also equal the projection
+    out of the cone as a matrix (the cone inserts entries in its own
+    order).  Merges send (+, -) and (-, +) to one target, so applying the
+    map to random combinations must see terms cancel."""
+    pick = random.Random(61)
+    matched = cancelled = 0
     for d, site in saddle_sites(random.Random(59), 24):
         d2 = saddle_target_diagram(d, site)
         try:
@@ -466,15 +498,16 @@ def test_saddle_maps_match_reference(field):
             continue
         cs, cd = build_complex(d, field=field), build_complex(d2, field=field)
         rs = RefComplex(d, field)
-        for construction, ref in (("direct", ref_saddle),
-                                  ("cone", ref_saddle_cone)):
-            try:
-                expected = ref(rs, rd, site)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    saddle_map(cs, cd, site, construction)
-                continue
-            same_columns(saddle_map(cs, cd, site, construction).columns,
-                         expected)
-            matched += 1
-    assert matched >= 8
+        try:
+            expected = ref_saddle(rs, rd, site)
+            cone = ref_saddle_cone(rs, rd, site)
+        except ValueError:
+            with pytest.raises(ValueError):
+                saddle_map(cs, cd, site)
+            continue
+        f = saddle_map(cs, cd, site)
+        same_columns(f.columns, expected)
+        assert f.columns == cone
+        cancelled += applies_like(f, expected, pick)
+        matched += 1
+    assert matched >= 8 and cancelled

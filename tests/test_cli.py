@@ -13,6 +13,7 @@ from tanglekh.ingest import CurveSet
 from tanglekh.persistence import Filtration, saddle_target_diagram
 
 from conftest import braid_closure, braid_tangle, circle_polyline, kink_arc
+from cube_helpers import negate_edge
 
 
 def write_json(path, payload):
@@ -132,9 +133,16 @@ def test_oracle_match(tmp_path, capsys):
         assert "MATCH" in capsys.readouterr().out
 
 
-def test_oracle_corrupted_sign_mismatch(tmp_path, capsys):
+def test_oracle_corrupted_sign_mismatch(tmp_path, capsys, monkeypatch):
+    """With one cube edge's sign negated the verdict must flip."""
+    import tanglekh.cli as cli
+
+    def corrupted(d, **kwargs):
+        return negate_edge(build_complex(d, **kwargs), ((0,) * d.n, 0))
+
+    monkeypatch.setattr(cli, "build_complex", corrupted)
     path = diagram_file(tmp_path, braid_closure([1, 1, 1], 2))
-    assert main(["oracle", path, "--corrupt-sign"]) == 1
+    assert main(["oracle", path]) == 1
     assert "MISMATCH" in capsys.readouterr().out
 
 
@@ -223,6 +231,60 @@ def test_persist_malformed_steps_exit_2(tmp_path, capsys):
         path = write_json(tmp_path / "filt.json", filt)
         assert main(["persist", path]) == 2, step
         assert "step 0" in capsys.readouterr().err
+
+
+ARC = {"boundary": ["a", "b"], "crossings": [],
+       "connections": [["a", "b"]], "free_circles": 0}
+CIRCLES = [{"boundary": [], "crossings": [], "connections": [],
+            "free_circles": k} for k in (1, 2)]
+
+
+@pytest.mark.parametrize("payload", [
+    {"diagrams": [ARC], "steps": []},                         # no grades
+    {"grades": [0], "steps": []},                             # no diagrams
+    {"grades": [0, 1], "diagrams": [ARC, ARC], "steps": {"kind": "x"}},
+    {"grades": [0, 1], "diagrams": [ARC, ARC], "steps": 5},
+    [{"grades": [0], "diagrams": [ARC]}],                     # top-level list
+    {"grades": "ab", "diagrams": [ARC, ARC],
+     "steps": [{"kind": "identity"}]},
+    {"grades": [0, True], "diagrams": [ARC, ARC],
+     "steps": [{"kind": "identity"}]},
+    {"grades": [0], "diagrams": ["arc"]},
+    {"grades": [0, 1], "diagrams": CIRCLES[::-1],
+     "steps": [{"kind": "cup", "site": "x"}]},
+    {"grades": [0, 1], "diagrams": CIRCLES[::-1],
+     "steps": [{"kind": "cup", "site": 0.5}]},
+])
+def test_persist_malformed_file_exit_2(tmp_path, capsys, payload):
+    path = write_json(tmp_path / "filt.json", payload)
+    assert main(["persist", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read filtration") and \
+        err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("site", [5, -3])
+def test_persist_cup_site_out_of_range_exit_2(tmp_path, capsys, site):
+    filt = {"grades": [0, 1], "diagrams": CIRCLES[::-1],
+            "steps": [{"kind": "cup", "site": site}]}
+    path = write_json(tmp_path / "filt.json", filt)
+    assert main(["persist", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0") and "out of range" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"crossings": [{"ports": [1, 2, 3, 4], "sign": 1}]},      # no id
+    [ARC],                                                    # top-level list
+    {"boundary": ["a", "b"], "connections": [["a", "b", "c"]]},
+])
+@pytest.mark.parametrize("cmd", ["compute", "oracle"])
+def test_malformed_diagram_exit_2(tmp_path, capsys, payload, cmd):
+    path = write_json(tmp_path / "d.json", payload)
+    assert main([cmd, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read diagram") and \
+        err.count("\n") == 1, err
 
 
 def test_ingest_pipeline(tmp_path):

@@ -9,6 +9,7 @@ from tanglekh.diagram import TangleDiagram
 
 from conftest import (bare_arc, braid_closure, braid_tangle, kink_arc,
                       random_braid_diagram)
+from cube_helpers import negate_edge
 
 
 def test_empty_diagram():
@@ -89,7 +90,7 @@ def test_d_squared_and_phi_random(rng):
 
 def test_sign_flip_mutation_breaks_d_squared():
     d = braid_closure([1, 1], 2)
-    c = build_complex(d, field=QQ, sign_flip=((0, 0), 1))
+    c = negate_edge(build_complex(d, field=QQ), ((0, 0), 1))
     ok, _ = verify_d_squared(c)
     assert not ok
 

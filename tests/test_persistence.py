@@ -8,12 +8,13 @@ from tanglekh.diagram import PlanarTangleSpec, TangleDiagram, apply_planar
 from tanglekh.persistence import (Bar, ChainMap, ClosureMorphismSpec,
                                   Filtration, MorphismError, RankTable,
                                   barcode_from_ranks, build_psi, cap_map,
-                                  compose, compose_specs, cup_map,
+                                  compose_specs, cup_map,
                                   induced_on_homology, rep_order, saddle_map,
                                   saddle_target_diagram, verify_chain_map)
 
 from conftest import (bare_arc, braid_closure, braid_tangle, closing_operator,
-                      kink_arc, tangle_with_extra_arcs)
+                      compose, kink_arc, tangle_with_extra_arcs)
+from test_assemble import RefComplex, ref_saddle_cone
 
 
 def close_op(boundary, pairs):
@@ -123,10 +124,10 @@ def test_functoriality_sequential_closures(rng):
         assert ok, w
         spec12 = compose_specs(spec2, spec1)
         psi12 = build_psi(c0, c2, spec12)
-        comp = compose(psi2, psi1)
-        assert psi12.q_shift == comp.q_shift
+        q_shift, columns = compose(psi2, psi1)
+        assert psi12.q_shift == q_shift
         for p in c0.degrees:
-            assert psi12.columns[p] == comp.columns[p]
+            assert psi12.columns[p] == columns[p]
 
 
 def test_psi_merge_is_structured_error():
@@ -197,10 +198,10 @@ def test_cap_cup_composite_is_zero():
     c = build_complex(braid_closure([1], 2), field=QQ)
     f = cap_map(c)
     g = cup_map(f.dst)
-    gf = compose(g, f)
-    assert gf.q_shift == 2
+    q_shift, columns = compose(g, f)
+    assert q_shift == 2
     for p in c.degrees:
-        assert gf.columns[p] == [{} for _ in range(c.dim(p))]
+        assert columns[p] == [{} for _ in range(c.dim(p))]
 
 
 def test_cup_requires_free_circle():
@@ -225,17 +226,20 @@ def saddle_cases():
 
 @pytest.mark.parametrize("field", [QQ, GF2])
 def test_saddle_direct_equals_cone(field):
+    """The direct map equals the projection out of the mapping cone of
+    the added crossing, built label by label in ``test_assemble``."""
     for d, site in saddle_cases():
         d2 = saddle_target_diagram(d, site)
         cs = build_complex(d, field=field)
         cd = build_complex(d2, field=field)
-        f1 = saddle_map(cs, cd, site, "direct")
-        f2 = saddle_map(cs, cd, site, "cone")
-        ok, w = verify_chain_map(f1)
+        f = saddle_map(cs, cd, site)
+        ok, w = verify_chain_map(f)
         assert ok, w
+        cone = ref_saddle_cone(RefComplex(d, field), RefComplex(d2, field),
+                               site)
         for p in cs.degrees:
-            assert f1.columns[p] == f2.columns[p], (site, p)
-        assert f1.q_shift == f2.q_shift == -1
+            assert f.columns[p] == cone[p], (site, p)
+        assert f.q_shift == -1
 
 
 def test_saddle_site_must_match_target():

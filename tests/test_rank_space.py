@@ -19,6 +19,7 @@ from tanglekh.persistence import saddle_target_diagram
 
 from conftest import (bare_arc, braid_closure, kink_arc, random_braid_diagram,
                       tangle_with_extra_arcs)
+from cube_helpers import negate_edge
 from stored_complex import StateTable, classify, saddle_parts
 from test_assemble import ref_resolve, saddle_sites
 
@@ -81,10 +82,10 @@ def test_components_and_edges_match_reference():
                 tables, edges = reference(d, flip)
             except ValueError:
                 with pytest.raises(ValueError, match="five local cases"):
-                    build_complex(d, sign_flip=flip)
+                    build_complex(d)
                 refused += 1
                 continue
-            c = build_complex(d, sign_flip=flip)
+            c = negate_edge(build_complex(d), flip)
             for state, table in tables.items():
                 comp, order, r = walk(d, state)
                 assert comp == table.comp
