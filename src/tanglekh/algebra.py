@@ -1,14 +1,11 @@
-"""Exact coefficient fields, Laurent polynomials, gradings, and the local
-saddle maps of the two functors.
+"""Exact coefficient fields, Laurent polynomials, and ``SADDLE``, the one
+table of the local saddle maps.
 
-Circle labels are '+' and '-', arcs always carry 'w'.  Matrix bases over
-labelings are ordered lexicographically with '+' before '-'.
+Circle labels are '+' and '-', arcs always carry 'w'.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -239,107 +236,21 @@ class LaurentPolynomial:
 Q_PLUS_QINV = LaurentPolynomial({1: 1, -1: 1})
 
 
-# -- generators and gradings ---------------------------------------------
+# -- the local saddle maps ----------------------------------------------
 
-
-THETA = {"+": 1, "-": -1, "w": -1}
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A basis element: a state plus one symbol per component."""
-
-    state: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        for sym in self.labels:
-            if sym not in THETA:
-                raise ValueError(f"unknown label {sym!r}")
-
-
-def theta(labels) -> int:
-    labels = labels.labels if isinstance(labels, Generator) else labels
-    return sum(THETA[sym] for sym in labels)
-
-
-def phi(labels, p, n_plus, n_minus) -> int:
-    """Quantum grading: p + n_plus - n_minus + theta."""
-    return p + n_plus - n_minus + theta(labels)
-
-
-# -- local saddle maps ---------------------------------------------------
-
-# merge of two circles (the Frobenius multiplication)
-MERGE = {
-    ("+", "+"): {"+": 1},
-    ("+", "-"): {"-": 1},
-    ("-", "+"): {"-": 1},
-    ("-", "-"): {},
-}
-# split of one circle (the comultiplication)
-SPLIT = {
-    "+": {("+", "-"): 1, ("-", "+"): 1},
-    "-": {("-", "-"): 1},
-}
-# arc splitting off a circle
-ARC_SPLIT = {("w",): {("w", "-"): 1}}
-# arc absorbing a circle
-ARC_MERGE = {("w", "+"): {("w",): 1}, ("w", "-"): {}}
-
-# The five local saddle maps as {source labels: {target labels: coeff}}.
-# Active components are listed arcs first, then circles in component
-# order, with the shapes of SADDLE_SHAPES.
+# The five local saddle maps of the cube as {source labels: {target
+# labels: coefficient}}: the multiplication and comultiplication of the
+# Frobenius algebra V on circles, and their versions on an arc, which
+# carries w.  Active components are listed arcs first, then circles in
+# component order.  A source labeling that maps to {} goes to 0.
 SADDLE = {
-    "circle-merge": {(a, b): {(x,): c for x, c in MERGE[(a, b)].items()}
-                     for a, b in MERGE},
-    "circle-split": {(a,): SPLIT[a] for a in SPLIT},
-    "arc-split-circle": ARC_SPLIT,
-    "arc-circle-merge": ARC_MERGE,
+    "circle-merge": {("+", "+"): {("+",): 1},
+                     ("+", "-"): {("-",): 1},
+                     ("-", "+"): {("-",): 1},
+                     ("-", "-"): {}},
+    "circle-split": {("+",): {("+", "-"): 1, ("-", "+"): 1},
+                     ("-",): {("-", "-"): 1}},
+    "arc-split-circle": {("w",): {("w", "-"): 1}},
+    "arc-circle-merge": {("w", "+"): {("w",): 1}, ("w", "-"): {}},
     "arc-arc-reconnect": {("w", "w"): {}},
 }
-SADDLE_SHAPES = {
-    "circle-merge": (("circle", "circle"), ("circle",)),
-    "circle-split": (("circle",), ("circle", "circle")),
-    "arc-split-circle": (("arc",), ("arc", "circle")),
-    "arc-circle-merge": (("arc", "circle"), ("arc",)),
-    "arc-arc-reconnect": (("arc", "arc"), ("arc", "arc")),
-}
-
-
-def _basis(shape):
-    """Lexicographic labelings for a tuple of component kinds."""
-    choices = [("w",) if k == "arc" else ("+", "-") for k in shape]
-    return [tuple(t) for t in itertools.product(*choices)]
-
-
-def local_map(kind, functor="G"):
-    """Matrix of the local map for one saddle kind.
-
-    Returns ``(src_basis, dst_basis, entries)`` with integer entries keyed
-    by ``(dst_labeling, src_labeling)``.  The functor for links ('F') is
-    only defined on the circle cases.
-    """
-    circle_only = kind in ("circle-merge", "circle-split")
-    if functor == "F" and not circle_only:
-        raise ValueError(f"functor F is undefined on arc case {kind!r}")
-    if functor not in ("F", "G"):
-        raise ValueError(f"unknown functor {functor!r}")
-    if kind not in SADDLE:
-        raise ValueError(f"unknown saddle kind {kind!r}")
-
-    src_shape, dst_shape = SADDLE_SHAPES[kind]
-    entries = {(t, s): c for s, terms in SADDLE[kind].items()
-               for t, c in terms.items()}
-    return _basis(src_shape), _basis(dst_shape), entries
-
-
-def unit_counit():
-    """The cap map (1 -> v+) and cup map (v+ -> 0, v- -> 1).
-
-    Both come as entry dicts keyed by (dst_labeling, src_labeling); the
-    empty labeling () stands for the ground field.
-    """
-    eps = {(("+",), ()): 1}
-    eta = {((), ("-",)): 1}
-    return eps, eta

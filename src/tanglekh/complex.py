@@ -1,8 +1,9 @@
 """Assembly of the Khovanov cochain complex and bigraded homology.
 
 The homological degree of a state s is h(s) = l(s) - n_minus.  The
-quantum grading of a generator is p + n_plus - n_minus + theta, which the
-differential preserves, so homology is computed per (p, q) block.
+quantum grading of a generator is p + n_plus - n_minus, plus one for
+each '+' circle and minus one for each '-' circle and each arc.  The
+differential preserves it, so homology is computed per (p, q) block.
 """
 
 from __future__ import annotations
@@ -16,13 +17,20 @@ from math import comb
 from typing import NamedTuple
 
 from . import linalg
-from .algebra import GF2, Generator
+from .algebra import GF2
 from .cube import bystanders, labels_of, mask_of, saddle
 from .diagram import TangleDiagram, resolve, validate, walk
 
 
 class ComplexError(ValueError):
     pass
+
+
+class Generator(NamedTuple):
+    """A basis element: a state and one label per component."""
+
+    state: tuple
+    labels: tuple
 
 
 class Edge(NamedTuple):
@@ -48,9 +56,9 @@ class GradedChainComplex:
     The complex stores per-state data only: the circle and arc counts
     (r, t), the layout and the classified edges out of each state.  The
     differential is computed on demand: ``block_columns`` yields the
-    columns of one block d^p_q in block-local rows, and
-    ``differential_column`` and ``differentials`` are views of it in
-    global indices.  ``resolutions`` resolves a state when asked."""
+    columns of one block d^p_q in block-local rows, and ``differentials``
+    is a view of it in global indices.  ``resolutions`` resolves a state
+    when asked."""
 
     diagram: TangleDiagram
     functor: str
@@ -71,11 +79,6 @@ class GradedChainComplex:
 
     def total_dim(self):
         return sum(self.dims.values())
-
-    def span(self, state):
-        """(p, start, count) of the generators living over one state."""
-        p, off = self.layout[state]
-        return p, off, 1 << self.rt[state][0]
 
     @cached_property
     def resolutions(self):
@@ -213,10 +216,6 @@ class GradedChainComplex:
                     col[b + t] = x
         return cols
 
-    def differential_column(self, p, i):
-        """Column i of d^p in the indices of degree p + 1."""
-        return _DegreeColumns(self, p)[i] if p in self.dims else {}
-
     @property
     def differentials(self):
         """p -> the columns of d^p, computed state by state on demand."""
@@ -268,13 +267,11 @@ class _DegreeView(Sequence):
 
 class _DegreeBasis(_DegreeView):
     def _at(self, state, mask):
-        return Generator(state=state,
-                         labels=labels_of(*self._c.rt[state], mask))
+        return Generator(state, labels_of(*self._c.rt[state], mask))
 
     def _over(self, state):
         r, t = self._c.rt[state]
-        return (Generator(state=state, labels=labels_of(r, t, m))
-                for m in range(1 << r))
+        return (Generator(state, labels_of(r, t, m)) for m in range(1 << r))
 
 
 class _DegreeColumns(_DegreeView):

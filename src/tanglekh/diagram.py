@@ -26,6 +26,14 @@ def _label(x):
     return tuple(_label(y) for y in x) if isinstance(x, list) else x
 
 
+def _integer(x, what):
+    """``x`` if it is an int and not a bool, else TypeError naming
+    ``what``: no value is coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{what} {x!r} is not an integer")
+    return x
+
+
 @dataclass(frozen=True)
 class Crossing:
     id: int
@@ -33,6 +41,7 @@ class Crossing:
     sign: int
 
     def __post_init__(self):
+        _integer(self.id, "crossing id")
         object.__setattr__(self, "ports", tuple(self.ports))
 
 
@@ -81,7 +90,7 @@ class TangleDiagram:
         self.crossings = tuple(sorted(
             (c if isinstance(c, Crossing) else Crossing(**c) for c in crossings),
             key=lambda c: c.id))
-        self.free_circles = int(free_circles)
+        self.free_circles = _integer(free_circles, "free_circles")
         self._key = {}
         for i, b in enumerate(self.boundary):
             self._key[b] = (0, i)

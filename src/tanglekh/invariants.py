@@ -44,12 +44,3 @@ def state_sum(d: TangleDiagram) -> LaurentPolynomial:
         total = total + term
     return total
 
-
-def euler_characteristic_chain_level(c) -> LaurentPolynomial:
-    """Alternating sum of graded dimensions of the chain groups."""
-    out = {}
-    for p in c.degrees:
-        sgn = 1 if p % 2 == 0 else -1
-        for q, gens in c.q_blocks(p).items():
-            out[q] = out.get(q, 0) + sgn * len(gens)
-    return LaurentPolynomial(out)

@@ -12,13 +12,13 @@ per state and applied on demand, as the differential is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import linalg
 from .algebra import LaurentPolynomial
 from .complex import BigradedHomology, GradedChainComplex, build_complex
 from .cube import bystanders, circle_bit, saddle
 from .diagram import TangleDiagram, walk
+from .invariants import betti_polynomial
 
 
 class MorphismError(ValueError):
@@ -106,28 +106,15 @@ class ChainMap:
                             self.src.field)
         return out
 
-    @cached_property
-    def columns(self):
-        """p -> the column of each generator of degree p, as dicts into
-        the indices of ``dst``, built on first access."""
-        return {p: [self._column(*self.src.locate(p, i))
-                    for i in range(self.src.dim(p))]
-                for p in self.src.degrees}
-
 
 def verify_chain_map(f: ChainMap):
     """Check d_dst . f = f . d_src degreewise; returns (ok, witness)."""
     fld = f.src.field
     for p in f.src.degrees:
-        cols = f.columns.get(p, [])
         d_dst = list(f.dst.differentials.get(p, ()))
         for i, d_col in enumerate(f.src.differentials[p]):
-            lhs = f.apply(p + 1, d_col)
-            rhs = {}
-            if i < len(cols):
-                for j, c in cols[i].items():
-                    linalg.add_into(rhs, d_dst[j], c, fld)
-            if lhs != rhs:
+            if f.apply(p + 1, d_col) != linalg.matvec(
+                    d_dst, f.apply(p, {i: fld.one}), fld):
                 return False, (p, i)
     return True, None
 
@@ -489,12 +476,10 @@ class FiltrationRun:
 
     def persistent_betti(self, a, b, p) -> LaurentPolynomial:
         """Graded rank of im(H^p(a) -> H^p(b)) in target quantum degrees."""
+        if a == b:
+            return betti_polynomial(self.homologies[a], p)
         field = self.complexes[0].field
         order = rep_order(self.homologies[a], p)
-        if a == b:
-            h = self.homologies[a]
-            return LaurentPolynomial(
-                {q: r for (pp, q), r in h.ranks.items() if pp == p})
         comp = None
         for i in range(a, b):
             step = self.induced(i, p)

@@ -146,13 +146,22 @@ def closing_operator(boundary, n_core, rng, tag=0):
                             arcs=arcs, circles=rng.randint(0, 1))
 
 
+def chain_columns(f):
+    """p -> the column of each generator of degree p under the chain map
+    f, as dicts into the indices of ``f.dst``, read through ``f.apply``."""
+    one = f.src.field.one
+    return {p: [f.apply(p, {i: one}) for i in range(f.src.dim(p))]
+            for p in f.src.degrees}
+
+
 def compose(g, f):
     """``(q_shift, columns)`` of the chain map g after f, multiplied out
     from their columns."""
     assert g.src is f.dst or g.src.diagram == f.dst.diagram
     columns = {}
-    for p, cols in f.columns.items():
-        gcols = g.columns.get(p)
+    gcolumns = chain_columns(g)
+    for p, cols in chain_columns(f).items():
+        gcols = gcolumns.get(p)
         columns[p] = ([{} for _ in cols] if gcols is None
                       else linalg.matmul(gcols, cols, f.src.field))
     return f.q_shift + g.q_shift, columns

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tanglekh.algebra import (GF2, QQ, Generator, LaurentPolynomial,
-                              PrimeField, Q_PLUS_QINV, field_from_name,
-                              is_prime, local_map, phi, theta, unit_counit)
+from tanglekh.algebra import (GF2, QQ, LaurentPolynomial, PrimeField,
+                              Q_PLUS_QINV, SADDLE, field_from_name, is_prime)
 
 
 def test_field_from_name():
@@ -79,59 +78,41 @@ def test_laurent_fraction_coeffs():
     assert (p + p).coeffs == {1: 1}
 
 
-def test_theta_phi():
-    assert theta(("+", "-", "w")) == -1
-    g = Generator(state=(0, 1), labels=("w", "+"))
-    assert theta(g) == 0
-    assert phi(("w", "+"), 1, 2, 1) == 2  # 1 + 2 - 1 + 0
-
-
-def test_generator_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        Generator(state=(0,), labels=("v",))
-
-
 def test_local_map_merge():
-    src, dst, entries = local_map("circle-merge")
-    assert src == [("+", "+"), ("+", "-"), ("-", "+"), ("-", "-")]
-    assert dst == [("+",), ("-",)]
-    assert entries == {(("+",), ("+", "+")): 1,
-                       (("-",), ("+", "-")): 1,
-                       (("-",), ("-", "+")): 1}
+    assert SADDLE["circle-merge"] == {("+", "+"): {("+",): 1},
+                                      ("+", "-"): {("-",): 1},
+                                      ("-", "+"): {("-",): 1},
+                                      ("-", "-"): {}}
 
 
 def test_local_map_split():
-    _, _, entries = local_map("circle-split")
-    assert entries == {(("+", "-"), ("+",)): 1,
-                       (("-", "+"), ("+",)): 1,
-                       (("-", "-"), ("-",)): 1}
+    assert SADDLE["circle-split"] == {("+",): {("+", "-"): 1,
+                                               ("-", "+"): 1},
+                                      ("-",): {("-", "-"): 1}}
+    # the two terms of the comultiplication of v+, in this order
+    assert list(SADDLE["circle-split"][("+",)]) == [("+", "-"), ("-", "+")]
 
 
 def test_local_map_arc_cases():
-    _, _, split = local_map("arc-split-circle")
-    assert split == {(("w", "-"), ("w",)): 1}
-    _, _, merge = local_map("arc-circle-merge")
-    assert merge == {(("w",), ("w", "+")): 1}
-    _, _, reconnect = local_map("arc-arc-reconnect")
-    assert reconnect == {}
+    assert SADDLE["arc-split-circle"] == {("w",): {("w", "-"): 1}}
+    assert SADDLE["arc-circle-merge"] == {("w", "+"): {("w",): 1},
+                                          ("w", "-"): {}}
+    assert SADDLE["arc-arc-reconnect"] == {("w", "w"): {}}
+
+
+THETA = {"+": 1, "-": -1, "w": -1}
 
 
 def test_local_map_theta_drop():
     """Every local saddle map lowers theta by exactly 1."""
-    for kind in ("circle-merge", "circle-split", "arc-split-circle",
-                 "arc-circle-merge"):
-        _, _, entries = local_map(kind)
-        for (dst, src) in entries:
-            assert theta(dst) == theta(src) - 1
+    def theta(labels):
+        return sum(THETA[x] for x in labels)
 
-
-def test_functor_f_restricted_to_circles():
-    local_map("circle-merge", functor="F")
-    with pytest.raises(ValueError):
-        local_map("arc-split-circle", functor="F")
-
-
-def test_unit_counit():
-    eps, eta = unit_counit()
-    assert eps == {(("+",), ()): 1}
-    assert eta == {((), ("-",)): 1}
+    terms = 0
+    for kind, table in SADDLE.items():
+        for src, outs in table.items():
+            for dst, coeff in outs.items():
+                assert coeff == 1
+                assert theta(dst) == theta(src) - 1, (kind, src, dst)
+                terms += 1
+    assert terms == 8

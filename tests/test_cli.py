@@ -81,7 +81,7 @@ def test_compute_generators_are_cocycles_with_coefficients(tmp_path, capsys,
                 assert vec and all(x != field.zero for x in vec.values())
                 image = {}
                 for i, x in vec.items():
-                    linalg.add_into(image, c.differential_column(p, i), x,
+                    linalg.add_into(image, c.differentials[p][i], x,
                                     field)
                 assert image == {}, (name, key)
 
@@ -237,6 +237,10 @@ ARC = {"boundary": ["a", "b"], "crossings": [],
        "connections": [["a", "b"]], "free_circles": 0}
 CIRCLES = [{"boundary": [], "crossings": [], "connections": [],
             "free_circles": k} for k in (1, 2)]
+# a one-crossing kink on an arc, valid with an integer crossing id
+KINK = {"boundary": ["a", "b"],
+        "crossings": [{"id": 0, "ports": [1, 2, 3, 4], "sign": 1}],
+        "connections": [["a", 1], [2, 3], ["b", 4]], "free_circles": 0}
 
 
 @pytest.mark.parametrize("payload", [
@@ -254,6 +258,10 @@ CIRCLES = [{"boundary": [], "crossings": [], "connections": [],
      "steps": [{"kind": "cup", "site": "x"}]},
     {"grades": [0, 1], "diagrams": CIRCLES[::-1],
      "steps": [{"kind": "cup", "site": 0.5}]},
+    {"grades": [0], "diagrams": [ARC | {"free_circles": 1.5}]},
+    {"grades": [0], "diagrams": [
+        KINK | {"crossings": [{"id": [0], "ports": [1, 2, 3, 4],
+                               "sign": 1}]}]},
 ])
 def test_persist_malformed_file_exit_2(tmp_path, capsys, payload):
     path = write_json(tmp_path / "filt.json", payload)
@@ -277,6 +285,12 @@ def test_persist_cup_site_out_of_range_exit_2(tmp_path, capsys, site):
     {"crossings": [{"ports": [1, 2, 3, 4], "sign": 1}]},      # no id
     [ARC],                                                    # top-level list
     {"boundary": ["a", "b"], "connections": [["a", "b", "c"]]},
+    KINK | {"crossings": [{"id": [0], "ports": [1, 2, 3, 4], "sign": 1}]},
+    KINK | {"crossings": [{"id": "0", "ports": [1, 2, 3, 4], "sign": 1}]},
+    KINK | {"crossings": [{"id": True, "ports": [1, 2, 3, 4], "sign": 1}]},
+    ARC | {"free_circles": 1.5},
+    ARC | {"free_circles": True},
+    ARC | {"free_circles": "2"},
 ])
 @pytest.mark.parametrize("cmd", ["compute", "oracle"])
 def test_malformed_diagram_exit_2(tmp_path, capsys, payload, cmd):

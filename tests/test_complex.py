@@ -114,7 +114,7 @@ def test_representatives_are_cocycles(rng):
                 for z in reps:
                     out = {}
                     for i, coeff in z.items():
-                        for j, v in c.differential_column(p, i).items():
+                        for j, v in c.differentials[p][i].items():
                             nv = field.add(out.get(j, field.zero),
                                            field.mul(coeff, v))
                             if nv == field.zero:

@@ -61,7 +61,7 @@ def assert_matches_stored(c, ref, rng):
         assert c.differentials[p] == cols
         for i, (a, b) in enumerate(zip(c.differentials[p], cols)):
             assert list(a.items()) == list(b.items()), (p, i)
-            assert list(c.differential_column(p, i).items()) == \
+            assert list(c.differentials[p][i].items()) == \
                 list(b.items()), (p, i)
         blocks, nxt = ref.q_blocks(p), ref.q_blocks(p + 1)
         assert list(c.block_sizes(p).items()) == \

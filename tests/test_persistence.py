@@ -12,8 +12,9 @@ from tanglekh.persistence import (Bar, ChainMap, ClosureMorphismSpec,
                                   induced_on_homology, rep_order, saddle_map,
                                   saddle_target_diagram, verify_chain_map)
 
-from conftest import (bare_arc, braid_closure, braid_tangle, closing_operator,
-                      compose, kink_arc, tangle_with_extra_arcs)
+from conftest import (bare_arc, braid_closure, braid_tangle, chain_columns,
+                      closing_operator, compose, kink_arc,
+                      tangle_with_extra_arcs)
 from test_assemble import RefComplex, ref_saddle_cone
 
 
@@ -28,8 +29,8 @@ def test_identity_spec_is_identity_map():
     d = braid_tangle([1], 2)
     c = build_complex(d, field=QQ)
     psi = build_psi(c, c, ClosureMorphismSpec.identity(d))
-    for p in c.degrees:
-        assert psi.columns[p] == [{i: QQ.one} for i in range(c.dim(p))]
+    assert chain_columns(psi) == {p: [{i: QQ.one} for i in range(c.dim(p))]
+                                  for p in c.degrees}
     assert psi.q_shift == 0
 
 
@@ -126,8 +127,7 @@ def test_functoriality_sequential_closures(rng):
         psi12 = build_psi(c0, c2, spec12)
         q_shift, columns = compose(psi2, psi1)
         assert psi12.q_shift == q_shift
-        for p in c0.degrees:
-            assert psi12.columns[p] == columns[p]
+        assert chain_columns(psi12) == columns
 
 
 def test_psi_merge_is_structured_error():
@@ -237,8 +237,7 @@ def test_saddle_direct_equals_cone(field):
         assert ok, w
         cone = ref_saddle_cone(RefComplex(d, field), RefComplex(d2, field),
                                site)
-        for p in cs.degrees:
-            assert f.columns[p] == cone[p], (site, p)
+        assert chain_columns(f) == cone, site
         assert f.q_shift == -1
 
 

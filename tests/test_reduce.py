@@ -55,7 +55,7 @@ def dense_rank(columns, nrows, char):
 def block(c, p, q, rows_q):
     """d^p on the (p, q) block, rows indexed within the (p+1, q) block."""
     local = {g: k for k, g in enumerate(rows_q)}
-    return [{local[j]: x for j, x in c.differential_column(p, i).items()}
+    return [{local[j]: x for j, x in c.differentials[p][i].items()}
             for i in c.q_blocks(p).get(q, ())]
 
 
@@ -108,7 +108,7 @@ def test_representatives_span_homology(name):
                 # d z = 0, summed in reference arithmetic
                 dz = {}
                 for i, x in z.items():
-                    for j, y in c.differential_column(p, i).items():
+                    for j, y in c.differentials[p][i].items():
                         dz[j] = dz.get(j, 0) + plain(x, char) * plain(y, char)
                 assert all((v % char if char else v) == 0
                            for v in dz.values()), (d.to_json(), p, q)
