@@ -160,7 +160,7 @@ def _step_from_json(i, raw, diagrams):
     try:
         kind = raw["kind"]
         if kind == "closure" and "component_map" in raw:
-            cm = raw["component_map"]
+            cm = _of_type(dict, raw["component_map"], "a component_map")
             spec = ClosureMorphismSpec(
                 source=diagrams[i], target=diagrams[i + 1],
                 arc_images=tuple(_label(img) for img in cm.get("arcs", ())),
@@ -173,7 +173,7 @@ def _step_from_json(i, raw, diagrams):
                 outer_boundary=[_label(x)
                                 for x in op.get("outer_boundary", ())],
                 arcs=[_pair(a) for a in op.get("arcs", ())],
-                circles=int(op.get("circles", 0)))}
+                circles=op.get("circles", 0))}
         if kind == "saddle":
             site = tuple(_pair(pair) for pair in raw["site"]["from"])
             if len(site) != 2:

@@ -344,7 +344,7 @@ class PlanarTangleSpec:
     """A crossing-free annular operator: one input hole, one output disk.
 
     ``arcs`` is a perfect matching on inner hole endpoints plus outer
-    boundary endpoints; ``circles`` counts closed curves of the operator.
+    boundary endpoints; ``circles``, an int >= 0, counts its closed curves.
     Inner and outer boundaries are listed counterclockwise.
     """
 
@@ -358,6 +358,8 @@ class PlanarTangleSpec:
         object.__setattr__(self, "outer_boundary", tuple(self.outer_boundary))
         object.__setattr__(self, "arcs",
                            tuple(tuple(a) for a in self.arcs))
+        if _integer(self.circles, "operator circles") < 0:
+            raise ValueError(f"operator circles {self.circles} < 0")
 
     @classmethod
     def identity(cls, boundary):
@@ -368,16 +370,13 @@ class PlanarTangleSpec:
                    arcs=tuple(zip(inner, outer)), circles=0)
 
 
-def _noncrossing(seq_positions, pairs):
+def _noncrossing(seq, pairs):
     """Stack check: chords over a linearly ordered point set."""
     partner = {}
     for a, b in pairs:
-        partner[a] = b
-        partner[b] = a
+        partner[a], partner[b] = b, a
     stack = []
-    for p in seq_positions:
-        if p not in partner:
-            continue
+    for p in seq:
         if stack and stack[-1] == partner[p]:
             stack.pop()
         else:
@@ -386,7 +385,14 @@ def _noncrossing(seq_positions, pairs):
 
 
 def check_planar(op: PlanarTangleSpec) -> ValidationReport:
-    """Verify the operator's matching is realizable in the annulus."""
+    """Verify the operator's matching is realizable in the annulus.
+
+    Cutting the annulus along a through-arc from a (inner) to b (outer)
+    leaves a disk whose boundary meets the outer points counterclockwise
+    after b, then the inner points clockwise after a: the other arcs
+    must be non-crossing there.  With no through-arc, the inner and the
+    outer chords must each be non-crossing on their own circle.
+    """
     problems = []
     pts = set(op.inner_boundary) | set(op.outer_boundary)
     seen = set()
@@ -399,77 +405,34 @@ def check_planar(op: PlanarTangleSpec) -> ValidationReport:
             if x in seen:
                 problems.append(f"endpoint {x} used by two arcs")
             seen.add(x)
-    if seen != pts:
-        problems.append("arcs are not a perfect matching")
+    if seen != pts or len(pts) < len(op.inner_boundary + op.outer_boundary):
+        problems.append("arcs are not a perfect matching of distinct points")
     if problems:
         return ValidationReport(False, tuple(problems))
 
-    inner = set(op.inner_boundary)
-    through = [(a, b) if a in inner else (b, a)
-               for a, b in op.arcs
-               if (a in inner) != (b in inner)]
-    inner_pos = {p: i for i, p in enumerate(op.inner_boundary)}
-    outer_pos = {p: i for i, p in enumerate(op.outer_boundary)}
-
-    if through:
-        through.sort(key=lambda ab: inner_pos[ab[0]])
-        outs = [outer_pos[b] for _, b in through]
-        # outer endpoints must appear in the same cyclic order
-        k = len(outs)
-        start = outs.index(min(outs))
-        rot = outs[start:] + outs[:start]
-        if rot != sorted(rot):
-            problems.append("through-arcs change cyclic order (not planar)")
-        # chords with both ends on one boundary must sit inside a single
-        # gap between consecutive through-strands and nest there
-        def gap_check(boundary, pos, anchors):
-            anchors = sorted(anchors)
-            chords = [(a, b) for a, b in op.arcs
-                      if a in pos and b in pos and (a, b) not in through
-                      and (b, a) not in through]
-            def gap_of(i):
-                import bisect
-                return bisect.bisect_right(anchors, i) % len(anchors)
-            by_gap = {}
-            for a, b in chords:
-                ga, gb = gap_of(pos[a]), gap_of(pos[b])
-                if ga != gb:
-                    return False
-                by_gap.setdefault(ga, []).append((a, b))
-            n = len(boundary)
-            for g, cs in by_gap.items():
-                lo = anchors[g - 1] if g > 0 else anchors[-1]
-                seq = [boundary[(lo + 1 + i) % n] for i in range(n)]
-                pts_in = [p for p in seq
-                          if any(p in ab for ab in cs)]
-                if not _noncrossing(pts_in, cs):
-                    return False
-            return True
-
-        if not gap_check(op.inner_boundary, inner_pos,
-                         [inner_pos[a] for a, _ in through]):
-            problems.append("inner chords cross a through-arc (not planar)")
-        if not gap_check(op.outer_boundary, outer_pos,
-                         [outer_pos[b] for _, b in through]):
-            problems.append("outer chords cross a through-arc (not planar)")
+    ins, outs = op.inner_boundary, op.outer_boundary
+    cut = next(((a, b) if a in ins else (b, a) for a, b in op.arcs
+                if (a in ins) != (b in ins)), None)
+    if cut is None:
+        planar = _noncrossing(ins, op.arcs) and _noncrossing(outs, op.arcs)
     else:
-        inner_chords = [(a, b) for a, b in op.arcs if a in inner]
-        outer_chords = [(a, b) for a, b in op.arcs if a not in inner]
-        if not _noncrossing(list(op.inner_boundary), inner_chords):
-            problems.append("inner chords cross (not planar)")
-        if not _noncrossing(list(op.outer_boundary), outer_chords):
-            problems.append("outer chords cross (not planar)")
-
-    return ValidationReport(ok=not problems, problems=tuple(problems))
+        i, o = ins.index(cut[0]), outs.index(cut[1])
+        planar = _noncrossing(outs[o + 1:] + outs[:o]
+                              + (ins[i + 1:] + ins[:i])[::-1], op.arcs)
+    return ValidationReport(planar, () if planar
+                            else ("arcs cross (not planar)",))
 
 
 def apply_planar(op: PlanarTangleSpec, inner: TangleDiagram):
     """Embed ``inner`` into the annular operator ``op``.
 
-    Returns ``(diagram, morphism_registry)`` where the registry records,
-    for each portless arc and free circle of the source, its image in the
-    target.  The registry is consumed by the persistence module to build
-    the induced chain map.
+    Returns ``(target, spec)``, ``spec`` the ``ClosureMorphismSpec`` of
+    the closure.  Glued to the inner connections, the operator's arcs
+    leave each label at most two edges, so the paths and cycles they make
+    are traced once.  Paths, from ports in connection order and then from
+    outer points, are the target's connections; cycles are its new free
+    circles.  A portless arc on a path from a port goes to ("port", that
+    port), on another path to ("arc", i), on a cycle to ("circle", i).
     """
     from .persistence import ClosureMorphismSpec
 
@@ -488,132 +451,48 @@ def apply_planar(op: PlanarTangleSpec, inner: TangleDiagram):
     if clash:
         raise ValueError(f"outer labels collide with inner diagram: {clash}")
     rename = dict(zip(op.inner_boundary, inner.boundary))
-    op_edges = [tuple(rename.get(x, x) for x in a) for a in op.arcs]
-    inner_eps = set(inner.boundary)
+    hole = set(inner.boundary)
+    edges = ({}, {})   # label -> partner across a connection, an operator arc
+    op_arcs = [(rename.get(a, a), rename.get(b, b)) for a, b in op.arcs]
+    for h, pairs in enumerate((inner.connections, op_arcs)):
+        for a, b in pairs:
+            edges[h][a], edges[h][b] = b, a
+    portless = inner.portless_arcs()
+    arc_of = {x: j for j, pair in enumerate(portless) for x in pair}
+    images, ends = [None] * len(portless), set()
 
-    conn_of = {}
-    for pair in inner.connections:
-        a, b = pair
-        conn_of[a] = (b, pair)
-        conn_of[b] = (a, pair)
-    oparc_of = {}
-    for pair in op_edges:
-        a, b = pair
-        if a in inner_eps:
-            oparc_of[a] = (b, pair)
-        if b in inner_eps:
-            oparc_of[b] = (a, pair)
-
-    portless = list(inner.portless_arcs())
-    portless_index = {pair: i for i, pair in enumerate(portless)}
-
-    new_connections = []
-    loops = 0
-    arc_images = [None] * len(portless)
-    used = set()
-
-    def chase(start, first_hop, stop=None):
-        """Follow the alternating chain starting on a diagram connection or
-        operator arc; returns (terminal, source portless arcs met).  When
-        `stop` is given the chain is a closed loop and the walk ends on
-        returning to that endpoint."""
-        met = []
-        cur, via_conn = start, first_hop
+    def trace(x, h, image):
+        """Walk from x, first across an edge of kind h, to the far end of
+        its path (added to ``ends``) or back to x, sending every portless
+        arc on the way to ``image``; returns where the walk stopped."""
+        y = x
         while True:
-            if via_conn:
-                other, pair = conn_of[cur]
-                used.add(("c", pair))
-                if pair in portless_index:
-                    met.append(portless_index[pair])
-            else:
-                other, pair = oparc_of.get(cur, (None, None))
-                if pair is None:
-                    return cur, met  # cur is not an inner endpoint: terminal
-                used.add(("o", pair))
-            if other == stop or other not in inner_eps:
-                return other, met
-            cur, via_conn = other, not via_conn
+            if not h and y in arc_of:
+                images[arc_of[y]] = image
+            y, h = edges[h][y], 1 - h
+            if y == x or y not in hole:
+                ends.add(y)
+                return y
 
-    # chains starting at non-eliminated nodes: crossing ports
-    for pair in inner.connections:
-        a, b = pair
-        if ("c", pair) in used:
-            continue
-        if a in inner_eps and b in inner_eps:
-            continue  # handled below or via chase from a port chain
-        # at least one end is a crossing port
-        start = a if a not in inner_eps else b
-        other = b if start == a else a
-        used.add(("c", pair))
-        if other not in inner_eps:
-            new_connections.append(pair)
-            continue
-        term, met = chase(other, False)
-        new_connections.append((start, term))
-        for j in met:
-            arc_images[j] = ("port", start)
-    # chains starting at outer endpoints via operator arcs
-    for pair in op_edges:
-        if ("o", pair) in used:
-            continue
-        a, b = pair
-        if a not in inner_eps and b not in inner_eps:
-            used.add(("o", pair))
-            new_connections.append(pair)  # brand new portless arc
-            continue
-        start = a if a not in inner_eps else b
-        other = b if start == a else a
-        if start in inner_eps:
-            continue  # inner-inner operator arc: reached from some chain
-        used.add(("o", pair))
-        term, met = chase(other, True)
-        new_connections.append((start, term))
-        # terminal may be a port or an outer endpoint
-        for j in met:
-            if term in inner_eps:
-                raise AssertionError("chain terminated at an inner endpoint")
-            arc_images[j] = (("port", term) if inner.is_port(term)
-                            else ("chain", start))
-    # remaining inner-inner structure: closed loops
-    for pair in inner.connections:
-        if ("c", pair) not in used and pair[0] in inner_eps:
-            used.add(("c", pair))
-            j0 = portless_index.get(pair)
-            term, met = chase(pair[1], False, stop=pair[0])
-            if term != pair[0]:
-                # open chain fully inside eliminated nodes cannot happen
-                raise AssertionError("unclosed boundary chain")
-            circle_idx = inner.free_circles + loops
-            loops += 1
-            if j0 is not None:
-                met.append(j0)
-            for j in met:
-                arc_images[j] = ("circle", circle_idx)
+    # once every port end is traced, a path from an outer point ends at one;
+    # started in boundary order, the k-th is the target's k-th portless arc
+    connections = [(x, trace(x, 0, ("port", x)))
+                   for pair in inner.connections for x in pair
+                   if inner.is_port(x) and x not in ends]
+    arcs = []
+    for x in op.outer_boundary:
+        if x not in ends:
+            arcs.append((x, trace(x, 1, ("arc", len(arcs)))))
+    free = inner.free_circles
+    for j, (a, _) in enumerate(portless):
+        if images[j] is None:
+            trace(a, 0, ("circle", free))
+            free += 1
 
-    target = TangleDiagram(
-        boundary=op.outer_boundary,
-        crossings=inner.crossings,
-        connections=new_connections,
-        free_circles=inner.free_circles + loops + op.circles)
-
-    # patch up chain images and indices now that the target exists
-    tgt_portless = list(target.portless_arcs())
-    def arc_index(label):
-        for i, (x, y) in enumerate(tgt_portless):
-            if label in (x, y):
-                return i
-        raise AssertionError(f"no portless arc through {label}")
-    final_images = []
-    for img in arc_images:
-        if img is None:
-            raise AssertionError("untracked portless arc")
-        if img[0] == "chain":
-            final_images.append(("arc", arc_index(img[1])))
-        else:
-            final_images.append(img)
-
-    spec = ClosureMorphismSpec(
-        source=inner, target=target,
-        arc_images=tuple(final_images),
+    target = TangleDiagram(boundary=op.outer_boundary,
+                           crossings=inner.crossings,
+                           connections=connections + arcs,
+                           free_circles=free + op.circles)
+    return target, ClosureMorphismSpec(
+        source=inner, target=target, arc_images=tuple(images),
         circle_images=tuple(range(inner.free_circles)))
-    return target, spec

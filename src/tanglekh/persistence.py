@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import LaurentPolynomial
+from .algebra import GF2, LaurentPolynomial
 from .complex import BigradedHomology, GradedChainComplex, build_complex
 from .cube import bystanders, circle_bit, saddle
-from .diagram import TangleDiagram, walk
+from .diagram import TangleDiagram, apply_planar, walk
 from .invariants import betti_polynomial
 
 
@@ -58,20 +58,22 @@ class ClosureMorphismSpec:
             raise MorphismError("arc_images length mismatch")
         if len(self.circle_images) != s.free_circles:
             raise MorphismError("circle_images length mismatch")
-        for img in self.arc_images:
-            if img[0] == "port":
-                raise MorphismError(
-                    f"source arc merges into strand at {img[1]}: "
-                    "no induced chain map is defined")
-            if img[0] == "circle" and not 0 <= img[1] < t.free_circles:
-                raise MorphismError(f"free circle index {img[1]} out of range")
-            if img[0] == "arc" and not 0 <= img[1] < len(t.portless_arcs()):
-                raise MorphismError(f"portless arc index {img[1]} out of range")
-        for i in self.circle_images:
-            if not 0 <= i < t.free_circles:
-                raise MorphismError(f"free circle index {i} out of range")
+        bound = {"arc": len(t.portless_arcs()), "circle": t.free_circles}
         images = list(self.arc_images)
         images += [("circle", i) for i in self.circle_images]
+        for img in images:
+            kind, i = (img if isinstance(img, tuple) and len(img) == 2
+                       else (None, None))
+            if kind == "port":
+                raise MorphismError(
+                    f"source arc merges into strand at {i}: "
+                    "no induced chain map is defined")
+            if kind not in ("arc", "circle") or isinstance(i, bool) \
+                    or not isinstance(i, int):
+                raise MorphismError(
+                    f"image {img!r} is not (\"arc\" or \"circle\", integer)")
+            if not 0 <= i < bound[kind]:
+                raise MorphismError(f"{kind} index {i} out of range")
         if len(set(images)) != len(images):
             raise MorphismError(
                 "two source components share an image: merge cobordisms "
@@ -454,22 +456,25 @@ class FiltrationRun:
             self._induced.setdefault(key, [])
         return self._induced[key]
 
+    def _composites(self, i, p):
+        """``(j, matrix of H^p(i) -> H^p(j))`` for j = i + 1, i + 2, ...,
+        each composed from the one before."""
+        comp = None
+        for j in range(i, self.size - 1):
+            step = self.induced(j, p)
+            comp = [dict(c) for c in step] if comp is None \
+                else linalg.matmul(step, comp, self.complexes[0].field)
+            yield j + 1, comp
+
     def rank_table(self, p) -> RankTable:
         field = self.complexes[0].field
-        n = self.size
         dims = [len(rep_order(h, p)) for h in self.homologies]
         r = {}
-        for i in range(n):
+        for i in range(self.size):
             r[(i, i)] = dims[i]
-            comp = None
-            for j in range(i, n - 1):
-                step = self.induced(j, p)
-                if comp is None:
-                    comp = [dict(c) for c in step]
-                else:
-                    comp = linalg.matmul(step, comp, field)
-                r[(i, j + 1)] = linalg.rank(comp, field)
-        return RankTable(p=p, size=n, dims=dims, r=r)
+            for j, comp in self._composites(i, p):
+                r[(i, j)] = linalg.rank(comp, field)
+        return RankTable(p=p, size=self.size, dims=dims, r=r)
 
     def q_shift_between(self, a, b):
         return sum(self.chain_maps[i].q_shift for i in range(a, b))
@@ -480,11 +485,7 @@ class FiltrationRun:
             return betti_polynomial(self.homologies[a], p)
         field = self.complexes[0].field
         order = rep_order(self.homologies[a], p)
-        comp = None
-        for i in range(a, b):
-            step = self.induced(i, p)
-            comp = [dict(c) for c in step] if comp is None \
-                else linalg.matmul(step, comp, field)
+        comp = next(m for j, m in self._composites(a, p) if j == b)
         shift = self.q_shift_between(a, b)
         out = LaurentPolynomial.zero()
         by_q = {}
@@ -514,7 +515,6 @@ class Filtration:
     """
 
     def __init__(self, grades, diagrams, steps, functor="G", field=None):
-        from .algebra import GF2
         if list(grades) != sorted(set(grades)):
             raise MorphismError("grades must be strictly increasing")
         if len(diagrams) != len(grades):
@@ -529,7 +529,6 @@ class Filtration:
         self._runs = None
 
     def _chain_map(self, i, src, dst):
-        from .diagram import apply_planar
         step = self.steps[i]
         kind = step["kind"]
         try:
@@ -562,6 +561,8 @@ class Filtration:
     def runs(self):
         if self._runs is not None:
             return self._runs
+        # looked up per call: the benchmark tracer (bench/spans.py) wraps
+        # complex.homology in place, and a module-level name would miss it
         from .complex import homology
         # a grade whose diagram equals an earlier one reuses its results
         built = {}

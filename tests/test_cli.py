@@ -271,6 +271,37 @@ def test_persist_malformed_file_exit_2(tmp_path, capsys, payload):
         err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("circles", [1.5, -1, True, "1"])
+def test_persist_op_circles_not_a_count_exit_2(tmp_path, capsys, circles):
+    op = {"inner_boundary": ["i", "j"], "outer_boundary": [],
+          "arcs": [["i", "j"]], "circles": circles}
+    filt = {"grades": [0, 1], "diagrams": [ARC, CIRCLES[0]],
+            "steps": [{"kind": "closure", "op": op}]}
+    path = write_json(tmp_path / "filt.json", filt)
+    assert main(["persist", path]) == 2
+    assert "step 0: malformed step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, target, component_map", [
+    (ARC, ARC, {"arcs": [["arc", 0.0]]}),
+    (ARC, ARC, {"arcs": [["arc"]]}),
+    (ARC, CIRCLES[0], {"arcs": [["foo", 0]]}),
+    (ARC, CIRCLES[0], {"arcs": [["circle", False]]}),
+    (ARC, CIRCLES[0], {"arcs": ["circle"]}),
+    (CIRCLES[0], CIRCLES[0], {"circles": ["0"]}),
+    (CIRCLES[0], CIRCLES[0], {"circles": [False]}),
+    (ARC, ARC, [["arc", 0]]),
+])
+def test_persist_bad_component_map_exit_2(tmp_path, capsys, source, target,
+                                          component_map):
+    filt = {"grades": [0, 1], "diagrams": [source, target],
+            "steps": [{"kind": "closure", "component_map": component_map}]}
+    path = write_json(tmp_path / "filt.json", filt)
+    assert main(["persist", path]) == 2
+    err = capsys.readouterr().err
+    assert "step 0" in err and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("site", [5, -3])
 def test_persist_cup_site_out_of_range_exit_2(tmp_path, capsys, site):
     filt = {"grades": [0, 1], "diagrams": CIRCLES[::-1],

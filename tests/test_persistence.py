@@ -50,6 +50,25 @@ def test_spec_validation_errors():
                             circle_images=()).validate()
 
 
+@pytest.mark.parametrize("arc_images, circle_images", [
+    ((("foo", 0),), (0,)),          # unknown kind, once read as a circle
+    ((("arc", 0.0),), (0,)),
+    ((("circle", True),), (0,)),
+    ((("arc",),), (0,)),
+    (("circle",), (0,)),
+    ((("arc", 0),), ("0",)),
+    ((("arc", 0),), (1.0,)),
+])
+def test_spec_rejects_malformed_images(arc_images, circle_images):
+    target = TangleDiagram(boundary=("a", "b"), connections=[("a", "b")],
+                           free_circles=2)
+    spec = ClosureMorphismSpec(source=TangleDiagram(
+        boundary=("a", "b"), connections=[("a", "b")], free_circles=1),
+        target=target, arc_images=arc_images, circle_images=circle_images)
+    with pytest.raises(MorphismError):
+        spec.validate()
+
+
 def test_circle_to_arc_rejected():
     src = TangleDiagram(free_circles=1)
     dst = bare_arc()
