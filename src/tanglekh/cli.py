@@ -40,12 +40,37 @@ def _write(payload, out, fmt):
             if out:
                 fh.close()
     else:
-        text = json.dumps(payload, indent=2, default=str)
+        text = _json_text(payload)
         if out:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
         else:
             print(text)
+
+
+def _json_text(value, pad=""):
+    """``value`` as JSON, one item per line at the top level and in each
+    list or dict nested more than two deep, the rest inline: a report
+    row or a ``--generators`` entry takes one line."""
+    if not isinstance(value, (dict, list, tuple)) or not value or \
+            pad and not _nests(value, 2):
+        return json.dumps(value, default=str)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{json.dumps(str(k))}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
+    else:
+        items = [_json_text(v, inner) for v in value]
+    first, last = "{}" if isinstance(value, dict) else "[]"
+    return f"{first}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{last}"
+
+
+def _nests(value, levels):
+    """Whether lists and dicts nest more than ``levels`` deep in ``value``."""
+    if not isinstance(value, (dict, list, tuple)):
+        return False
+    items = value.values() if isinstance(value, dict) else value
+    return levels == 0 or any(_nests(v, levels - 1) for v in items)
 
 
 def _read(path, what, parse):
@@ -207,10 +232,7 @@ def cmd_persist(args):
 
 
 def cmd_ingest(args):
-    try:
-        curves = CurveSet.load(args.curves)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as e:
-        raise SystemExit2(f"cannot read curves {args.curves}: {e}")
+    curves = _read(args.curves, "curves", CurveSet.from_json)
     try:
         pa = project_and_detect(curves, tol=args.tol)
         events = critical_radii(pa, curves.center)
@@ -229,13 +251,8 @@ def cmd_ingest(args):
         "steps": [_step_json(s) for s in filt.steps],
     }
     _write(payload, args.out, args.format)
-    sidecar = (args.out + ".events.json") if args.out else None
-    ev = events_json(events)
-    if sidecar:
-        with open(sidecar, "w") as fh:
-            json.dump(ev, fh, indent=2)
-    else:
-        print(json.dumps(ev, indent=2))
+    _write(events_json(events), args.out and args.out + ".events.json",
+           "json")
     return 0
 
 

@@ -94,22 +94,23 @@ class Strand:
         b = self.points[(i + 1) % len(self.points)]
         return a, b
 
-    def at(self, t):
+    def _locate(self, t):
+        """(i, f): parameter t lies at fraction f along segment i."""
         i = min(int(t), self.nseg - 1)
-        f = t - i
+        return i, t - i
+
+    def at(self, t):
+        i, f = self._locate(t)
         a, b = self.seg(i)
         return (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
 
     def depth_at(self, t):
-        i = min(int(t), self.nseg - 1)
-        f = t - i
-        d0 = self.depths[i]
-        d1 = self.depths[(i + 1) % len(self.depths)]
+        i, f = self._locate(t)
+        d0, d1 = self.depths[i], self.depths[(i + 1) % len(self.depths)]
         return d0 + f * (d1 - d0)
 
     def dir_at(self, t):
-        i = min(int(t), self.nseg - 1)
-        a, b = self.seg(i)
+        a, b = self.seg(self._locate(t)[0])
         return (b[0] - a[0], b[1] - a[1])
 
 
@@ -421,12 +422,16 @@ def _local_extrema(profile, closed, tol):
     return out
 
 
-def critical_radii(pa: PlanarArrangement, center, flat_tol=1e-3):
+_FLAT_TOL = 1e-3
+
+
+def critical_radii(pa: PlanarArrangement, center):
     """Events at crossing distances and strand distance extrema, sorted.
 
-    Extrema of one strand whose radii agree within ``flat_tol`` (relative)
-    are merged into a single event; this collapses the sampling wiggle of
-    polylines approximating curves at locally constant distance.
+    Extrema of one strand whose radii agree within ``_FLAT_TOL``
+    (relative) are merged into a single event; this collapses the
+    sampling wiggle of polylines approximating curves at locally constant
+    distance.
     """
     cx, cy = center
     events = []
@@ -442,7 +447,7 @@ def critical_radii(pa: PlanarArrangement, center, flat_tol=1e-3):
         ext.sort(key=lambda e: e[1])
         clusters = [[ext[0]]]
         for e in ext[1:]:
-            if e[1] - clusters[-1][-1][1] <= flat_tol * max(1.0, e[1]):
+            if e[1] - clusters[-1][-1][1] <= _FLAT_TOL * max(1.0, e[1]):
                 clusters[-1].append(e)
             else:
                 clusters.append([e])
@@ -534,20 +539,30 @@ def _circle_hits(strand: Strand, i, center, radius):
 def clip(pa: PlanarArrangement, center, radius):
     """The tangle diagram inside the disk of the given radius.
 
-    Returns a ClipResult carrying the component registry used to build
-    closure morphisms between nested clips.
+    Each strand is swept once.  Every crossing, every vertex that starts
+    a segment the circle can meet, and the last point of an open strand
+    must lie off the circle by more than tol·max(1, radius); so the cuts
+    alternate between entering and leaving the disk, starting from the
+    side vertex 0 is on.  A closed strand inside at vertex 0 wraps its
+    last interval into its first, and one without cuts is a whole piece;
+    an open strand must start and end outside.  Returns a ClipResult
+    carrying the component registry used to build closure morphisms
+    between nested clips.
     """
     cx, cy = center
-    tol = pa.tol
+    slack = pa.tol * max(1.0, radius)
+
+    def dist(p):
+        return math.hypot(p[0] - cx, p[1] - cy)
+
     for c in pa.crossings:
-        d = math.hypot(c.pos[0] - cx, c.pos[1] - cy)
-        if abs(d - radius) <= tol * max(1.0, radius):
+        if abs(dist(c.pos) - radius) <= slack:
             raise GenericityError(
                 f"clip radius {radius} passes through a crossing",
                 location=c.pos)
 
     included = [k for k, c in enumerate(pa.crossings)
-                if math.hypot(c.pos[0] - cx, c.pos[1] - cy) < radius]
+                if dist(c.pos) < radius]
     passages = {}  # strand -> list of (param, crossing index, role)
     for k in included:
         c = pa.crossings[k]
@@ -555,125 +570,59 @@ def clip(pa: PlanarArrangement, center, radius):
         passages.setdefault(c.over[0], []).append((c.over[1], k, "over"))
 
     pieces = []
-    ranges = pa.distance_ranges(center)
-    for si, strand in enumerate(pa.strands):
-        cuts = []
-        for i, (lo, hi) in enumerate(ranges[si]):
-            if lo <= radius <= hi:
-                cuts.extend(i + t
-                            for t in _circle_hits(strand, i, center, radius))
-        dist0 = math.hypot(strand.points[0][0] - cx,
-                           strand.points[0][1] - cy)
-        if abs(dist0 - radius) <= tol * max(1.0, radius):
-            raise GenericityError("clip circle passes through a vertex",
-                                  location=strand.points[0])
-        if not cuts:
-            if dist0 < radius:
-                if not strand.closed:
-                    raise GenericityError(
-                        "open curve endpoint inside the clip disk",
-                        location=strand.points[0])
-                ps = tuple(sorted(passages.get(si, ())))
-                pieces.append(Piece(strand=si, lo=0.0,
-                                    hi=float(strand.nseg),
-                                    whole=True, passages=ps))
-            continue
-        inside0 = dist0 < radius
-        nseg = strand.nseg
-        if strand.closed:
-            ivals = []
-            flag = inside0
-            prev = 0.0
-            for t in cuts:
-                if flag:
-                    ivals.append((prev, t))
-                prev = t
-                flag = not flag
-            if flag:
-                if ivals and ivals[0][0] == 0.0:
-                    first = ivals.pop(0)
-                    ivals.append((prev, first[1] + nseg))
-                else:
-                    ivals.append((prev, float(nseg)))
-            for lo, hi in ivals:
-                ps = tuple(sorted(
-                    (t if t >= lo else t + nseg, k, role)
-                    for t, k, role in passages.get(si, ())
-                    if lo <= t <= hi or lo <= t + nseg <= hi))
-                pieces.append(Piece(strand=si, lo=lo, hi=hi, whole=False,
-                                    passages=ps))
-        else:
-            if inside0:
-                raise GenericityError(
-                    "open curve endpoint inside the clip disk",
-                    location=strand.points[0])
-            endd = math.hypot(strand.points[-1][0] - cx,
-                              strand.points[-1][1] - cy)
-            if endd < radius:
-                raise GenericityError(
-                    "open curve endpoint inside the clip disk",
-                    location=strand.points[-1])
-            for j in range(0, len(cuts) - 1, 2):
-                lo, hi = cuts[j], cuts[j + 1]
-                ps = tuple(sorted(
-                    (t, k, role) for t, k, role in passages.get(si, ())
-                    if lo <= t <= hi))
-                pieces.append(Piece(strand=si, lo=lo, hi=hi, whole=False,
-                                    passages=ps))
+    for si, (strand, ranges) in enumerate(zip(pa.strands,
+                                              pa.distance_ranges(center))):
+        pts, nseg = strand.points, strand.nseg
+        near = [i for i, (lo, hi) in enumerate(ranges) if lo <= radius <= hi]
+        for i in near if strand.closed else near + [nseg]:
+            if abs(dist(pts[i]) - radius) <= slack:
+                raise GenericityError("clip circle passes through a vertex",
+                                      location=pts[i])
+        cuts = [i + t for i in near
+                for t in _circle_hits(strand, i, center, radius)]
+        inside = dist(pts[0]) < radius
+        if not strand.closed and (inside or len(cuts) % 2):
+            raise GenericityError("open curve endpoint inside the clip disk",
+                                  location=pts[0] if inside else pts[-1])
+        whole = not cuts
+        if inside:
+            cuts = cuts[1:] + [cuts[0] + nseg] if cuts else [0.0, float(nseg)]
+        for lo, hi in zip(cuts[::2], cuts[1::2]):
+            ps = tuple(sorted(
+                (t if t >= lo else t + nseg, k, role)
+                for t, k, role in passages.get(si, ())
+                if lo <= t <= hi or lo <= t + nseg <= hi))
+            pieces.append(Piece(strand=si, lo=lo, hi=hi, whole=whole,
+                                passages=ps))
     pieces.sort(key=lambda p: (p.strand, p.lo))
 
     # assemble the diagram
-    crossings = []
-    for k in included:
-        c = pa.crossings[k]
-        slots = [None] * 4
-        slots[0] = ("x", k, 0)
-        slots[2] = ("x", k, 2)
-        slots[c.over_in_slot] = ("x", k, c.over_in_slot)
-        out_slot = 4 - c.over_in_slot  # 1 <-> 3
-        slots[out_slot] = ("x", k, out_slot)
-        crossings.append(Crossing(id=k, ports=tuple(slots), sign=c.sign))
-
-    def port_pair(k, role):
-        c = pa.crossings[k]
-        if role == "under":
-            return ("x", k, 0), ("x", k, 2)
-        return ("x", k, c.over_in_slot), ("x", k, 4 - c.over_in_slot)
-
+    crossings = [Crossing(id=k, ports=tuple(("x", k, s) for s in range(4)),
+                          sign=pa.crossings[k].sign) for k in included]
     boundary_pts = []   # (angle, label)
     connections = []
     free_strands = []
     for pi, piece in enumerate(pieces):
-        strand = pa.strands[piece.strand]
-        if piece.whole and not piece.passages:
-            free_strands.append(piece.strand)
-            continue
-        walk = []
-        if not piece.whole:
-            for which, t in (("in", piece.lo), ("out", piece.hi)):
-                x, y = strand.at(t % strand.nseg if t >= strand.nseg else t)
-                ang = math.atan2(y - cy, x - cx)
-                label = ("bd", pi, which)
-                boundary_pts.append((ang, label))
-            walk.append(("bd", pi, "in"))
-        for t, k, role in piece.passages:
-            pin, pout = port_pair(k, role)
-            walk.append(pin)
-            walk.append(pout)
-        if not piece.whole:
-            walk.append(("bd", pi, "out"))
-        # pair consecutive out/in nodes
+        walk = []   # a passage enters at its slot s and leaves at s + 2
+        for _, k, role in piece.passages:
+            s = 0 if role == "under" else pa.crossings[k].over_in_slot
+            walk += [("x", k, s), ("x", k, (s + 2) % 4)]
         if piece.whole:
-            seq = walk
-            m = len(seq)
-            for j in range(1, m, 2):
-                connections.append((seq[j], seq[(j + 1) % m]))
+            if not walk:
+                free_strands.append(piece.strand)
+                continue
+            walk = walk[1:] + walk[:1]   # each exit meets the next entry
         else:
-            for j in range(0, len(walk), 2):
-                connections.append((walk[j], walk[j + 1]))
+            strand = pa.strands[piece.strand]
+            ends = [("bd", pi, "in"), ("bd", pi, "out")]
+            for label, t in zip(ends, (piece.lo, piece.hi)):
+                x, y = strand.at(t % strand.nseg)
+                boundary_pts.append((math.atan2(y - cy, x - cx), label))
+            walk = ends[:1] + walk + ends[1:]
+        connections += zip(walk[::2], walk[1::2])
 
     boundary_pts.sort()
-    if any(abs(a1 - a2) <= tol
+    if any(abs(a1 - a2) <= pa.tol
            for (a1, _), (a2, _) in zip(boundary_pts, boundary_pts[1:])):
         raise GenericityError("two boundary endpoints at the same angle")
     diagram = TangleDiagram(
@@ -730,29 +679,24 @@ def _closure_step(pa, a: ClipResult, b: ClipResult):
         return {"kind": "break", "cause": "crossing set changes"}
     # map every source piece into the unique target piece containing it
     mapping = {}
-    for pi, piece in enumerate(a.pieces):
+    for piece in a.pieces:
         nseg = pa.strands[piece.strand].nseg
         tgt = _match_piece(piece, b, nseg)
         if tgt is None:
             return {"kind": "break", "cause": "piece correspondence lost"}
-        mapping[pi] = b.pieces.index(tgt)
+        mapping[piece] = tgt
     if len(set(mapping.values())) != len(mapping):
         return {"kind": "break", "cause": "pieces merge"}
 
     # canonical index lookups on the target
-    tgt_arc_index = {}
-    for k, piece in b.arc_pieces.items():
-        tgt_arc_index[b.pieces.index(piece)] = k
+    tgt_arc_index = {piece: k for k, piece in b.arc_pieces.items()}
     tgt_circle_index = {s: i for i, s in enumerate(b.circle_strands)}
 
     arc_images = []
     for k in sorted(a.arc_pieces):
-        piece = a.arc_pieces[k]
-        pi = a.pieces.index(piece)
-        qi = mapping[pi]
-        q = b.pieces[qi]
-        if qi in tgt_arc_index:
-            arc_images.append(("arc", tgt_arc_index[qi]))
+        q = mapping[a.arc_pieces[k]]
+        if q in tgt_arc_index:
+            arc_images.append(("arc", tgt_arc_index[q]))
         elif q.whole and not q.passages:
             arc_images.append(("circle", tgt_circle_index[q.strand]))
         else:

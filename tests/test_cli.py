@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tanglekh import linalg
+from tanglekh import cli, linalg
 from tanglekh.algebra import QQ, field_from_name
 from tanglekh.cli import main
 from tanglekh.complex import build_complex
@@ -84,6 +84,24 @@ def test_compute_generators_are_cocycles_with_coefficients(tmp_path, capsys,
                     linalg.add_into(image, c.differentials[p][i], x,
                                     field)
                 assert image == {}, (name, key)
+
+
+def test_compute_json_one_generator_entry_per_line(tmp_path, monkeypatch):
+    """The JSON output parses to the value the indented writer gave, and
+    each --generators entry takes one line."""
+    path = diagram_file(tmp_path, braid_closure([1, 1, 1], 2))
+    args = ["compute", path, "--field", "q", "--generators", "--out"]
+    assert main(args + [str(tmp_path / "new.json")]) == 0
+    monkeypatch.setattr(cli, "_json_text",
+                        lambda v: json.dumps(v, indent=2, default=str))
+    assert main(args + [str(tmp_path / "old.json")]) == 0
+    text = (tmp_path / "new.json").read_text()
+    old = (tmp_path / "old.json").read_text()
+    assert json.loads(text) == json.loads(old) and len(text) < len(old)
+    lines = {line.strip().rstrip(",") for line in text.splitlines()}
+    entries = [e for vs in json.loads(text)["generators"].values()
+               for v in vs for e in v]
+    assert entries and all(json.dumps(e) in lines for e in entries)
 
 
 def test_compute_csv(tmp_path):
@@ -345,6 +363,9 @@ def test_ingest_pipeline(tmp_path):
     events = json.loads((tmp_path / "filt.json.events.json").read_text())
     assert [e["cause"] for e in events] == \
         ["component first enters", "component fully enclosed"]
+    # one event per line, between the brackets
+    assert len((tmp_path / "filt.json.events.json").read_text()
+               .splitlines()) == len(events) + 2
     # the emitted filtration round-trips through the persist command
     assert main(["persist", str(out), "--field", "q",
                  "--out", str(tmp_path / "bars.json")]) == 0
@@ -372,6 +393,9 @@ def test_ingest_rejects_bad_file(tmp_path):
     ({"curves": [{"points": [[0, 0, 0], [1, 1, 0]]}]}, ["--tol", "-1"]),
     ({"curves": [{"points": [[0, 0, 0], [1, 1, 0]], "closed": "false"}]}, []),
     ({"curves": [{"points": [[0, 0, 0], [1, 1, 0]], "closed": 1}]}, []),
+    ({"curves": 5}, []),
+    ({"curves": [{"points": 5}]}, []),
+    ([], []),
 ])
 def test_ingest_bad_curves_exit_2(tmp_path, capsys, payload, extra):
     path = write_json(tmp_path / "curves.json", payload)

@@ -11,6 +11,7 @@ from tanglekh.ingest import (CurveSet, GenericityError, Polyline,
                              build_filtration, clip, critical_radii,
                              events_json, project_and_detect, sample_grades)
 
+from clip_reference import clip as ref_clip
 from conftest import braid_closure, circle_polyline, flat_trefoil_points
 
 
@@ -234,6 +235,74 @@ def test_clip_distance_ranges_keep_pieces():
         else:
             assert got.pieces == want.pieces
             assert got.diagram == want.diagram
+
+
+def clip_outcome(clip_fn, pa, center, radius):
+    try:
+        r = clip_fn(pa, center, radius)
+    except GenericityError as e:
+        return str(e), e.location
+    return r.pieces, r.diagram, r.arc_pieces, r.circle_strands
+
+
+def random_clip_curves(rng):
+    """One to three strands: polygons about random centres (whole pieces,
+    portless arcs) and random open or closed polylines (crossings)."""
+    polys = []
+    for _ in range(rng.randrange(1, 4)):
+        if rng.random() < 0.4:
+            polys.append((circle_polyline(
+                rng.uniform(0.3, 2.0), rng.uniform(-2, 2), rng.uniform(-2, 2),
+                z=rng.uniform(-1, 1), n=rng.randrange(5, 16)), True))
+        else:
+            polys.append((random_polyline(rng, rng.randrange(2, 9)),
+                          rng.random() < 0.6))
+    return curves(*polys)
+
+
+def test_clip_matches_reference_on_random_curves():
+    """The one-sweep clip gives the pieces, diagram, arc pieces and free
+    circles of the two-branch clip it replaced, or the same error."""
+    rng = random.Random(1212)
+    cases, seen = 0, set()
+    while cases < 3000:
+        try:
+            pa = project_and_detect(random_clip_curves(rng))
+        except GenericityError:
+            continue
+        center = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+        grades = sample_grades(critical_radii(pa, center))
+        for radius in rng.sample(grades, min(3, len(grades))) + \
+                [rng.uniform(0.0, 5.0)]:
+            got = clip_outcome(clip, pa, center, radius)
+            assert got == clip_outcome(ref_clip, pa, center, radius)
+            cases += 1
+            if isinstance(got[0], str):
+                seen.add("error")
+                continue
+            pieces, _, arc_pieces, _ = got
+            seen.update(
+                ["whole"] * any(p.whole for p in pieces)
+                + ["wrapped"] * any(p.hi > pa.strands[p.strand].nseg
+                                    for p in pieces)
+                + ["arc"] * bool(arc_pieces))
+    assert seen == {"whole", "wrapped", "arc", "error"}
+
+
+@pytest.mark.parametrize("points, closed", [
+    # vertex 1 lies on the circle; the reference gives a piece through
+    # vertex 2, which lies outside the disk
+    ([(1, 0, 0), (0, 2, 0), (-1, 4, 0), (-4, 0, 0), (0, -1, 0)], True),
+    # the last point lies on the circle; the reference gives no piece
+    ([(-3, 0, 0), (0, 0, 0), (2, 0, 0)], False),
+])
+def test_clip_circle_through_any_vertex_rejected(points, closed):
+    pa = project_and_detect(curves((points, closed)))
+    with pytest.raises(GenericityError, match="passes through a vertex"):
+        clip(pa, (0, 0), 2.0)
+    for radius in (1.99, 2.01):   # off the vertex the two clips agree
+        assert clip_outcome(clip, pa, (0, 0), radius) == \
+            clip_outcome(ref_clip, pa, (0, 0), radius)
 
 
 def test_ten_thousand_point_torus_knot_is_fast():
