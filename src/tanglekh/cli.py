@@ -12,11 +12,13 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 
 from .algebra import field_from_name
 from .complex import (ComplexError, build_complex, homology,
                       verify_d_squared)
-from .diagram import PlanarTangleSpec, TangleDiagram, _label, validate
+from .diagram import (PlanarTangleSpec, TangleDiagram, _label, cut_open,
+                      validate)
 from .ingest import (CurveSet, GenericityError, build_filtration,
                      critical_radii, events_json, project_and_detect,
                      sample_grades)
@@ -118,11 +120,19 @@ def _field(name):
 def cmd_compute(args):
     d = _load_diagram(args.diagram)
     field = _field(args.field)
+    # Over F2 a closed, non-empty diagram's homology is its reduced one (of
+    # the diagram cut open at one point) tensored with the unknot's
+    cut = (field.char == 2 and not d.boundary and not args.generators
+           and bool(d.crossings or d.free_circles))
     try:
-        c = build_complex(d, functor=args.functor.upper(), field=field)
+        c = build_complex(cut_open(d) if cut else d, field=field,
+                          functor="G" if cut else args.functor.upper())
     except ComplexError as e:
         raise SystemExit2(str(e))
     h = homology(c, representatives=args.generators)
+    if cut:   # Kh^{p,q} = H^{p,q} + H^{p,q-2} (Shumakovitch)
+        shifted = Counter({(p, q + 2): r for (p, q), r in h.ranks.items()})
+        h.ranks = dict(Counter(h.ranks) + shifted)
     report = h.to_json()
     report["betti"] = {str(p): betti_polynomial(h, p).to_json()
                       for p in h.degrees}

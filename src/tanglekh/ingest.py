@@ -37,8 +37,8 @@ class Polyline:
         if not isinstance(self.closed, bool):
             raise ValueError(f"polyline 'closed' must be true or false, "
                              f"not {self.closed!r}")
-        if len(self.points) < 2:
-            raise ValueError("polyline needs at least 2 points")
+        if len(self.points) < 2 + self.closed:   # 3 if closed
+            raise ValueError(f"polyline needs {2 + self.closed}+ points")
         if any(len(p) != 3 for p in self.points):
             raise ValueError("polyline points need 3 coordinates")
         # beyond this, squared coordinate differences overflow a float;

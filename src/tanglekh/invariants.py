@@ -2,8 +2,8 @@
 oracle.
 
 The state sum deliberately shares nothing with the cube/complex pipeline:
-it only needs circle/arc counts per state, so agreement with the homology
-side is genuine evidence of correctness.
+it counts each state's circles and arcs with its own union-find, so
+agreement with the homology side is genuine evidence of correctness.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 
 from .algebra import LaurentPolynomial, Q_PLUS_QINV
 from .complex import BigradedHomology
-from .diagram import TangleDiagram, resolve
+from .diagram import TangleDiagram
 
 
 def jones_from_homology(h: BigradedHomology) -> LaurentPolynomial:
@@ -32,15 +32,31 @@ def state_sum(d: TangleDiagram) -> LaurentPolynomial:
     """Graded Euler characteristic computed directly on the chain level.
 
     Each state contributes (-1)^(l-n-) q^(l+n+-2n-) (q+1/q)^r (1/q)^t.
+    Its r circles and t arcs (the components with boundary points) are
+    found by union-find over the labels joined by connections and by the
+    smoothing of each crossing: bit 0 joins ports 0-3, 1-2, bit 1 0-1, 2-3.
     """
+    root = {}   # label -> a label of the same component, one state at a time
+
+    def find(x):
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
+
     n_plus, n_minus = d.n_plus, d.n_minus
     total = LaurentPolynomial.zero()
     for state in itertools.product((0, 1), repeat=d.n):
-        res = resolve(d, state)
+        root.clear()
+        joins = list(d.connections)
+        for c, bit in zip(d.crossings, state):
+            a, b, e, f = c.ports
+            joins += [(a, b), (e, f)] if bit else [(a, f), (b, e)]
+        for x, y in joins:
+            root[find(x)] = find(y)
+        t = len({find(x) for x in d.boundary})
+        r = len({find(x) for j in joins for x in j}) - t + d.free_circles
         ell = sum(state)
         sign = -1 if (ell - n_minus) % 2 else 1
-        term = LaurentPolynomial.q(ell + n_plus - 2 * n_minus - res.t, sign)
-        term = term * (Q_PLUS_QINV ** res.r)
-        total = total + term
+        term = LaurentPolynomial.q(ell + n_plus - 2 * n_minus - t, sign)
+        total = total + term * (Q_PLUS_QINV ** r)
     return total
-

@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import pytest
 from tanglekh import cli, linalg
 from tanglekh.algebra import QQ, field_from_name
 from tanglekh.cli import main
-from tanglekh.complex import build_complex
+from tanglekh.complex import build_complex, homology
+from tanglekh.diagram import Crossing, TangleDiagram, cut_open
 from tanglekh.ingest import CurveSet
+from tanglekh.invariants import betti_polynomial, jones_from_homology
 from tanglekh.persistence import Filtration, saddle_target_diagram
 
 from conftest import braid_closure, braid_tangle, circle_polyline, kink_arc
@@ -142,6 +145,92 @@ def test_compute_large_prime_field(tmp_path, capsys):
     assert ranks["fp:2305843009213693951"] == ranks["q"]
     assert main(["compute", path, "--field", f"fp:{2 ** 89 - 1}"]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+def full_cube_report(d, field="f2"):
+    """What ``tanglekh compute`` reports from the whole cube of ``d``."""
+    h = homology(build_complex(d, field=field_from_name(field)),
+                 representatives=False)
+    report = h.to_json()
+    report["betti"] = {str(p): betti_polynomial(h, p).to_json()
+                       for p in h.degrees}
+    report["jones"] = jones_from_homology(h).to_json()
+    return json.loads(json.dumps(report))
+
+
+def compute_report(tmp_path, capsys, d, *extra):
+    assert main(["compute", diagram_file(tmp_path, d), *extra]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def link_components(word, strands):
+    perm = list(range(strands))
+    for g in word:
+        i = abs(g) - 1
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    seen, cycles = set(), 0
+    for s in range(strands):
+        cycles += s not in seen
+        while s not in seen:
+            seen.add(s)
+            s = perm[s]
+    return cycles
+
+
+def test_compute_f2_closed_matches_full_cube(tmp_path, capsys):
+    """Over F2 a closed diagram is computed cut open at one point; the
+    report equals the one the whole cube gives, on seeded closures."""
+    rng = random.Random(1301)
+    links = free = 0
+    for _ in range(300):
+        strands = rng.randint(2, 4)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 8))]
+        d = braid_closure(word, strands)
+        d = TangleDiagram(crossings=d.crossings, connections=d.connections,
+                          free_circles=d.free_circles + rng.randint(0, 2))
+        links += link_components(word, strands) > 1
+        free += d.free_circles > 0
+        assert compute_report(tmp_path, capsys, d) == full_cube_report(d), \
+            d.to_json()
+    assert links > 100 and free > 100
+
+
+def test_compute_f2_closed_cut_open_cases(tmp_path, capsys):
+    criterion = braid_closure([1, 1, 1, 2, 2, 2] * 2, 3)
+    assert compute_report(tmp_path, capsys, criterion) == \
+        full_cube_report(criterion)
+    for k in (1, 2, 3):
+        d = TangleDiagram(free_circles=k)
+        assert compute_report(tmp_path, capsys, d) == full_cube_report(d)
+    for word, strands in (([1, 1, 1], 2), ([1, -2, 1, -2], 3), ([1], 3)):
+        d = braid_closure(word, strands)
+        for field in ("f2", "fp:2"):
+            for functor in ("g", "f"):
+                assert compute_report(tmp_path, capsys, d, "--field", field,
+                                      "--functor", functor) == \
+                    full_cube_report(d, field)
+    # ports already named as the cut's first choices of boundary label
+    trefoil = braid_closure([1, 1, 1], 2)
+    name = {p: ("cut", k) for k, p in
+            enumerate(p for c in trefoil.crossings for p in c.ports)}
+    renamed = TangleDiagram(
+        crossings=[Crossing(c.id, [name[p] for p in c.ports], c.sign)
+                   for c in trefoil.crossings],
+        connections=[(name[a], name[b]) for a, b in trefoil.connections])
+    assert cut_open(renamed).boundary == (("cut", 12), ("cut", 13))
+    assert compute_report(tmp_path, capsys, renamed) == \
+        full_cube_report(trefoil)
+
+
+def test_compute_f2_malformed_closed_diagram_exit_2(tmp_path, capsys):
+    payload = braid_closure([1, 1, 1], 2).to_json()
+    payload["connections"].pop()
+    path = write_json(tmp_path / "bad.json", payload)
+    assert main(["compute", path, "--field", "f2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid diagram {path}: labels without a connection: "
+        "('x', 1, 3), ('x', 2, 0)\n")
 
 
 def test_oracle_match(tmp_path, capsys):
@@ -396,6 +485,7 @@ def test_ingest_rejects_bad_file(tmp_path):
     ({"curves": 5}, []),
     ({"curves": [{"points": 5}]}, []),
     ([], []),
+    ({"curves": [{"points": [[-3, 1, 0], [3, 1, 0]], "closed": True}]}, []),
 ])
 def test_ingest_bad_curves_exit_2(tmp_path, capsys, payload, extra):
     path = write_json(tmp_path / "curves.json", payload)

@@ -95,6 +95,13 @@ def test_collinear_overlap_rejected(second):
     assert -1 <= x <= 1 and y == 0
 
 
+def test_closed_polyline_needs_three_points():
+    with pytest.raises(ValueError, match=r"needs 3\+ points"):
+        Polyline(points=[(-3, 1, 0), (3, 1, 0)], closed=True)
+    Polyline(points=[(-3, 1, 0), (3, 1, 0)], closed=False)
+    Polyline(points=[(0, 0, 0), (1, 0, 0), (0, 1, 0)], closed=True)
+
+
 def test_bad_coordinates_and_tolerance_rejected():
     for bad in (math.nan, math.inf, -math.inf, 1e200):
         with pytest.raises(ValueError):
@@ -254,9 +261,10 @@ def random_clip_curves(rng):
             polys.append((circle_polyline(
                 rng.uniform(0.3, 2.0), rng.uniform(-2, 2), rng.uniform(-2, 2),
                 z=rng.uniform(-1, 1), n=rng.randrange(5, 16)), True))
-        else:
-            polys.append((random_polyline(rng, rng.randrange(2, 9)),
-                          rng.random() < 0.6))
+        else:   # a two-point polyline stays open: closed, it is refused
+            n = rng.randrange(2, 9)
+            points = random_polyline(rng, n)
+            polys.append((points, rng.random() < 0.6 and n > 2))
     return curves(*polys)
 
 

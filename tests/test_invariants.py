@@ -1,11 +1,13 @@
-from tanglekh.algebra import QQ, LaurentPolynomial
+import itertools
+
+from tanglekh.algebra import QQ, Q_PLUS_QINV, LaurentPolynomial
 from tanglekh.complex import build_complex, homology
-from tanglekh.diagram import TangleDiagram
+from tanglekh.diagram import TangleDiagram, resolve
 from tanglekh.invariants import (betti_polynomial, jones_from_homology,
                                  state_sum)
 
 from conftest import (bare_arc, braid_closure, kink_arc,
-                      random_braid_diagram)
+                      random_braid_diagram, tangle_with_extra_arcs)
 
 
 def L(coeffs):
@@ -73,3 +75,30 @@ def test_betti_polynomial():
     assert betti_polynomial(h, 0) == L({1: 1, 3: 1})
     assert betti_polynomial(h, 3) == L({9: 1})
     assert betti_polynomial(h, 5) == L({})
+
+
+def resolve_state_sum(d):
+    """The state sum over the circle and arc counts of ``resolve``."""
+    total = LaurentPolynomial.zero()
+    for state in itertools.product((0, 1), repeat=d.n):
+        res = resolve(d, state)
+        ell = sum(state)
+        term = LaurentPolynomial.q(ell + d.n_plus - 2 * d.n_minus - res.t,
+                                   -1 if (ell - d.n_minus) % 2 else 1)
+        total = total + term * (Q_PLUS_QINV ** res.r)
+    return total
+
+
+def test_state_sum_counts_components_on_its_own(rng):
+    """The union-find count of the state sum agrees with ``resolve`` on
+    closed diagrams, tangles, portless arcs and free circles."""
+    cases = [bare_arc(), TangleDiagram(free_circles=2),
+             TangleDiagram(boundary=("a", "b", "c", "d"),
+                           connections=[("a", "b"), ("c", "d")],
+                           free_circles=1)]
+    cases += [random_braid_diagram(rng, max_crossings=6, closed=closed)
+              for closed in (True, False) for _ in range(30)]
+    cases += [tangle_with_extra_arcs(rng, n_arcs=k)
+              for k in (1, 2, 3) for _ in range(10)]
+    for d in cases:
+        assert state_sum(d) == resolve_state_sum(d), d.to_json()
