@@ -156,6 +156,15 @@ class GradedChainComplex:
                 for state, r, k, _ in self._block(p, q)
                 for m in _by_popcount(r)[k]]
 
+    def block_local(self, p, q):
+        """Global index -> block-local index (see ``block_columns``)."""
+        starts = {state: start for state, _, _, start in self._block(p, q)}
+
+        def local(i):
+            state, m = self.locate(p, i)
+            return starts[state] + _colex(self.rt[state][0])[m]
+        return local
+
     def block_columns(self, p, q, skip=()):
         """The columns of the block d^p_q, computed on demand.
 
@@ -439,6 +448,10 @@ class BigradedHomology:
     ranks: dict            # (p, q) -> rank
     representatives: dict  # (p, q) -> list of chain vectors at degree p
     complex: GradedChainComplex = dc_field(repr=False, default=None)
+    # (p, q) -> the echelon of im d^{p-1}_q, where H^{p,q} != 0
+    echelons: dict = dc_field(repr=False, compare=False, default_factory=dict)
+    _local: dict = dc_field(init=False, repr=False, compare=False,
+                            default_factory=dict)
 
     def rank(self, p, q):
         return self.ranks.get((p, q), 0)
@@ -449,6 +462,30 @@ class BigradedHomology:
     @property
     def degrees(self):
         return sorted({p for (p, _) in self.ranks})
+
+    def classes(self, p, q, z):
+        """Coordinates {k: coefficient} on ``representatives[(p, q)]`` of
+        the class of the cocycle ``z`` {index: coefficient} of block (p, q);
+        {} where z or H^{p,q} is 0.  Raises ValueError when z is not a
+        cocycle.  Representative k joins the kept echelon as coordinate k."""
+        if not (z and self.rank(p, q)):
+            return {}
+        if (p, q) not in self.echelons:
+            raise ValueError("homology was computed without representatives")
+        red, own = self.echelons[(p, q)], len(self.representatives[(p, q)])
+        local = self._local.get((p, q))
+        if local is None:
+            local = self._local[(p, q)] = self.complex.block_local(p, q)
+            red.widen(own + 1)
+            for k, rep in enumerate(self.representatives[(p, q)]):
+                red.add(red.load({local(i): x for i, x in rep.items()}, k))
+        v = red.reduce(red.load({local(i): x for i, x in z.items()}, own))
+        if not red.is_zero(v):
+            raise ValueError(f"not a cocycle at (p, q) = ({p}, {q})")
+        coords, f = red.coords(v), self.field
+        # 0 = s*z + sum_k c_k rep_k modulo the image of d^{p-1}
+        factor = f.neg(f.inv(coords.pop(own)))
+        return {k: f.mul(factor, x) for k, x in coords.items()}
 
     def to_json(self):
         return {
@@ -465,41 +502,46 @@ def homology(c: GradedChainComplex, representatives=True) -> BigradedHomology:
 
     Rank first: dim H^{p,q} = dim C^{p,q} - rk d^p_q - rk d^{p-1}_q, and
     each block d^p_q is streamed from ``c.block_columns`` and eliminated
-    once, untracked, in degree order, then dropped.  A column whose index
-    is a pivot row of the reduced block d^{p-1}_q reduces to zero, so it
-    is never built (clearing, Chen-Kerber).  Blocks with H^{p,q} != 0 are
-    eliminated once more with coordinate tracking when
+    once, untracked, along its q-chain in degree order.  A column whose
+    index is a pivot row of the reduced block d^{p-1}_q reduces to zero,
+    so it is never built (clearing, Chen-Kerber).  Blocks with H^{p,q} !=
+    0 are eliminated once more with coordinate tracking when
     ``representatives`` is set, on the block's live columns kept from the
     first pass: the columns that reduce to zero without being cleared
     give cocycles that form a basis of H^{p,q}, because their highest
     coordinates are distinct from the pivot rows of the image and from
-    each other.
+    each other.  Such a block then also keeps the first-pass echelon of
+    d^{p-1}_q, which spans its image, for ``classes`` to solve against.
     """
     f = c.field
-    ranks = {}
-    reps = {}
-    cleared = {}   # q -> pivot rows of d^{p-1}_q, as indices into block q
-    for p in c.degrees:
-        pivots = {}
-        for q, size in c.block_sizes(p).items():
-            skip = cleared.get(q, ())
+    sizes = {p: c.block_sizes(p) for p in c.degrees}
+    ranks, reps, echelons = {}, {}, {}
+    for q in {q for s in sizes.values() for q in s}:
+        skip, image = (), None   # pivot rows and echelon of d^{p-1}_q
+        for p in c.degrees:
+            if q not in sizes[p]:
+                continue   # what is carried, the map into this block, is 0
             red = linalg.reducer(f)
             live = []
             for k, col in c.block_columns(p, q, skip):
                 red.add(red.take(col))
                 if representatives:
                     live.append((k, col))
-            pivots[q] = red.pivot_rows()
-            h = size - len(skip) - red.rank
+            h = sizes[p][q] - len(skip) - red.rank
             if h:
                 ranks[(p, q)] = h
                 if representatives:
                     reps[(p, q)] = _cocycles(
                         f, c.block_generators(p, q), live)
-        cleared = pivots
+                    echelons[(p, q)] = image or linalg.reducer(f)
+            skip, image = red.pivot_rows(), red if representatives else None
 
-    return BigradedHomology(field=f, n_plus=c.n_plus, n_minus=c.n_minus,
-                            ranks=ranks, representatives=reps, complex=c)
+    order = [(p, q) for p in c.degrees for q in sizes[p]]
+    return BigradedHomology(
+        field=f, n_plus=c.n_plus, n_minus=c.n_minus,
+        ranks={k: ranks[k] for k in order if k in ranks},
+        representatives={k: reps[k] for k in order if k in reps},
+        complex=c, echelons=echelons)
 
 
 def _cocycles(f, gens, live):

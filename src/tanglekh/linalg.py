@@ -77,6 +77,12 @@ class F2Reducer:
     def pivot_rows(self):
         return {top - 1 - self.shift for top in self.pivots}
 
+    def widen(self, ncoords):
+        """Make room for ``ncoords`` coordinates below stored columns."""
+        d = ncoords - self.shift
+        self.pivots = {top + d: v << d for top, v in self.pivots.items()}
+        self.shift = ncoords
+
     def coords(self, v):
         return unpack(v & ((1 << self.shift) - 1), GF2)
 
@@ -101,6 +107,9 @@ class _DictReducer:
 
     def pivot_rows(self):
         return set(self.pivots)
+
+    def widen(self, ncoords):
+        """Coordinate keys are negative rows: any number fits."""
 
     def coords(self, v):
         return {~r: self._value(x) for r, x in v.items() if r < 0}

@@ -236,6 +236,14 @@ def _target(c: GradedChainComplex, d2: TangleDiagram, dst, kind):
     return dst
 
 
+def identity_map(c: GradedChainComplex, dst=None):
+    """The identity of ``c``, into ``dst`` (another complex of c) if given."""
+    dst = _target(c, c.diagram, c if dst is None else dst, "identity")
+    parts = {state: (tuple(1 << k for k in range(r)), 0, {0: (0,)})
+             for state, (r, _) in c.rt.items()}
+    return ChainMap(src=c, dst=dst, parts=parts, q_shift=0)
+
+
 def cap_map(c: GradedChainComplex, dst=None):
     """x -> x (x) v+ into the complex of the diagram plus one circle.
 
@@ -336,52 +344,22 @@ def induced_on_homology(f: ChainMap, h_src: BigradedHomology,
 
     Columns follow ``rep_order(h_src, p)``, rows ``rep_order(h_dst, p)``.
     The image of a source representative at (p, q) lies in the target
-    block (p, q + q_shift); it is solved there against the image of
-    d^{p-1} (untracked) and the target representatives (tracked).
+    block (p, q + q_shift), where ``h_dst.classes`` solves it.
     """
-    field = f.src.field
     out = {}
     for p in sorted(set(h_src.degrees) | set(h_dst.degrees)):
         row_of = {qj: k for k, qj in enumerate(rep_order(h_dst, p))}
-        solvers = {}
         cols = []
         for (q, j) in rep_order(h_src, p):
+            t = q + f.q_shift
             fz = f.apply(p, h_src.representatives[(p, q)][j])
-            col = {}
-            if fz:
-                t = q + f.q_shift
-                if t not in solvers:
-                    solvers[t] = _block_solver(f.dst, h_dst, p, t)
-                red, local, own = solvers[t]
-                v = red.reduce(red.load({local[i]: x for i, x in fz.items()},
-                                        key=own))
-                if not red.is_zero(v):
-                    raise MorphismError(
-                        f"image of a cocycle is not a cocycle at p={p}")
-                coords = red.coords(v)
-                # 0 = s*fz + sum_k c_k rep_k modulo the image of d^{p-1}
-                factor = field.neg(field.inv(coords.pop(own)))
-                col = {row_of[(t, k)]: field.mul(factor, c)
-                       for k, c in coords.items()}
-            cols.append(col)
+            try:
+                coords = h_dst.classes(p, t, fz)
+            except ValueError as e:
+                raise MorphismError(f"the image of a cocycle is {e}") from e
+            cols.append({row_of[(t, k)]: x for k, x in coords.items()})
         out[p] = cols
     return out
-
-
-def _block_solver(c: GradedChainComplex, h: BigradedHomology, p, q):
-    """Echelon form of im d^{p-1} plus the representatives of H^{p,q},
-    in indices local to the (p, q) block of ``c``, whose columns of
-    d^{p-1}_q come from ``c.block_columns``.  Returns (reducer, local
-    index, own): representative k carries coordinate k, and a column to
-    solve is loaded with coordinate ``own``."""
-    local = {g: k for k, g in enumerate(c.block_generators(p, q))}
-    reps = h.representatives.get((p, q), ())
-    red = linalg.reducer(c.field, ncoords=len(reps) + 1)
-    for _, col in c.block_columns(p - 1, q):
-        red.add(red.take(col))
-    for k, z in enumerate(reps):
-        red.add(red.load({local[i]: x for i, x in z.items()}, key=k))
-    return red, local, len(reps)
 
 
 @dataclass
@@ -481,6 +459,8 @@ class FiltrationRun:
 
     def persistent_betti(self, a, b, p) -> LaurentPolynomial:
         """Graded rank of im(H^p(a) -> H^p(b)) in target quantum degrees."""
+        if not 0 <= a <= b < self.size:
+            raise ValueError(f"need 0 <= a <= b < {self.size}: {a}, {b}")
         if a == b:
             return betti_polynomial(self.homologies[a], p)
         field = self.complexes[0].field
@@ -533,8 +513,7 @@ class Filtration:
         kind = step["kind"]
         try:
             if kind == "identity":
-                return build_psi(src, dst,
-                                 ClosureMorphismSpec.identity(src.diagram))
+                return identity_map(src, dst)
             if kind == "closure":
                 if "spec" in step:
                     return build_psi(src, dst, step["spec"])

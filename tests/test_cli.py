@@ -321,6 +321,34 @@ def test_persist_op_closure_step(tmp_path, capsys):
     assert (0.0, 1) in inf and (1.0, 1) in inf
 
 
+@pytest.mark.parametrize("name", ["q", "fp:3", "f2"])
+def test_persist_identity_steps_under_functor_f(tmp_path, capsys, name):
+    d = braid_closure([1, -2, 1, 1], 3).to_json()
+    d["free_circles"] += 1
+    filt = {"grades": [0, 1, 2], "diagrams": [d] * 3,
+            "steps": [{"kind": "identity"}] * 2}
+    path = write_json(tmp_path / "filt.json", filt)
+    bars = {}
+    for functor in ("f", "g"):
+        assert main(["persist", path, "--field", name,
+                     "--functor", functor]) == 0
+        bars[functor] = json.loads(capsys.readouterr().out)
+    assert bars["f"] == bars["g"] != []
+    assert all(r["birth"] == 0 and r["death"] is None for r in bars["f"])
+
+
+@pytest.mark.parametrize("functor", ["f", "g"])
+def test_persist_identity_between_different_diagrams_exit_2(
+        tmp_path, capsys, functor):
+    filt = {"grades": [0, 1],
+            "diagrams": [braid_closure([1, 1, 1], 2).to_json(),
+                         braid_closure([1, 1], 2).to_json()],
+            "steps": [{"kind": "identity"}]}
+    path = write_json(tmp_path / "filt.json", filt)
+    assert main(["persist", path, "--functor", functor]) == 2
+    assert "step 0: identity target mismatch" in capsys.readouterr().err
+
+
 def test_persist_malformed_steps_exit_2(tmp_path, capsys):
     d = braid_closure([1, 1, 1], 2)
     bad_steps = [
