@@ -125,8 +125,7 @@ def cmd_compute(args):
     cut = (field.char == 2 and not d.boundary and not args.generators
            and bool(d.crossings or d.free_circles))
     try:
-        c = build_complex(cut_open(d) if cut else d, field=field,
-                          functor="G" if cut else args.functor.upper())
+        c = build_complex(cut_open(d) if cut else d, field=field)
     except ComplexError as e:
         raise SystemExit2(str(e))
     h = homology(c, representatives=args.generators)
@@ -157,7 +156,7 @@ def cmd_compute(args):
 def cmd_oracle(args):
     d = _load_diagram(args.diagram)
     try:
-        c = build_complex(d, functor="G", field=field_from_name("q"))
+        c = build_complex(d, field=field_from_name("q"))
     except ComplexError as e:
         raise SystemExit2(str(e))
     # homology ranks assume d^2 = 0, so a broken complex has no homology side
@@ -174,7 +173,7 @@ def cmd_oracle(args):
     return 1
 
 
-def filtration_from_json(data, functor="G", field=None):
+def filtration_from_json(data, field=None):
     """The ``Filtration`` of a filtration file; KeyError, TypeError or
     ValueError when the file is malformed."""
     _of_type(dict, data, "a filtration")
@@ -187,7 +186,7 @@ def filtration_from_json(data, functor="G", field=None):
     steps = [_step_from_json(i, raw, diagrams) for i, raw in
              enumerate(_of_type(list, data.get("steps", []), "steps"))]
     return Filtration(grades=grades, diagrams=diagrams,
-                      steps=steps, functor=functor, field=field)
+                      steps=steps, field=field)
 
 
 def _step_from_json(i, raw, diagrams):
@@ -231,8 +230,7 @@ def _pair(x):
 def cmd_persist(args):
     field = _field(args.field)
     filt = _read(args.filtration, "filtration",
-                 lambda data: filtration_from_json(
-                     data, functor=args.functor.upper(), field=field))
+                 lambda data: filtration_from_json(data, field=field))
     try:
         rows = filt.barcode_report()
     except (MorphismError, ComplexError) as e:
@@ -247,9 +245,7 @@ def cmd_ingest(args):
         pa = project_and_detect(curves, tol=args.tol)
         events = critical_radii(pa, curves.center)
         grades = sample_grades(events)
-        filt = build_filtration(pa, curves.center, grades,
-                                functor=args.functor.upper(),
-                                field=_field(args.field))
+        filt = build_filtration(pa, curves.center, grades)
     except GenericityError as e:
         print(f"genericity failure: {e} at {e.location}", file=sys.stderr)
         return 3
@@ -260,9 +256,9 @@ def cmd_ingest(args):
         "diagrams": [d.to_json() for d in filt.diagrams],
         "steps": [_step_json(s) for s in filt.steps],
     }
-    _write(payload, args.out, args.format)
-    _write(events_json(events), args.out and args.out + ".events.json",
-           "json")
+    _write(payload, args.out, "json")
+    if args.out:   # stdout holds the filtration alone, for ``persist``
+        _write(events_json(events), args.out + ".events.json", "json")
     return 0
 
 
@@ -276,41 +272,39 @@ def _step_json(step):
     return {k: v for k, v in step.items() if k != "spec"}
 
 
+FLAGS = {
+    "field": dict(default="f2", help="coefficients: q, f2, or fp:<p>"),
+    "out": dict(default=None, help="output file instead of stdout"),
+    "format": dict(default="json", choices=["json", "csv"]),
+    "tol": dict(type=float, default=1e-9, help="crossing tolerance"),
+    "generators": dict(action="store_true",
+                       help="include homology representatives"),
+}
+
+# (subcommand, function, help, positional argument, the flags it reads)
+COMMANDS = [
+    ("compute", cmd_compute, "homology of one diagram", "diagram",
+     ("field", "out", "format", "generators")),
+    ("persist", cmd_persist, "barcodes of a filtration file", "filtration",
+     ("field", "out", "format")),
+    ("ingest", cmd_ingest, "curves file to a filtration", "curves",
+     ("out", "tol")),
+    ("oracle", cmd_oracle, "compare homology with the state sum", "diagram",
+     ()),
+]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="tanglekh",
         description="Khovanov homology and persistence of tangle diagrams")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(p):
-        p.add_argument("--field", default="f2",
-                       help="coefficients: q, f2, or fp:<p>")
-        p.add_argument("--functor", default="g", choices=["g", "f"])
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--generators", action="store_true",
-                       help="include homology representatives")
-
-    p = sub.add_parser("compute", help="homology of one diagram")
-    p.add_argument("diagram")
-    common(p)
-    p.set_defaults(fn=cmd_compute)
-
-    p = sub.add_parser("persist", help="barcodes of a filtration file")
-    p.add_argument("filtration")
-    common(p)
-    p.set_defaults(fn=cmd_persist)
-
-    p = sub.add_parser("ingest", help="curves file to a filtration")
-    p.add_argument("curves")
-    common(p)
-    p.set_defaults(fn=cmd_ingest)
-
-    p = sub.add_parser("oracle", help="compare homology with the state sum")
-    p.add_argument("diagram")
-    common(p)
-    p.set_defaults(fn=cmd_oracle)
+    for name, fn, help_, arg, flags in COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        p.add_argument(arg)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(fn=fn)
 
     args = ap.parse_args(argv)
     try:

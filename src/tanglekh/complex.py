@@ -60,8 +60,8 @@ class GradedChainComplex:
     is a view of it in global indices.  ``resolutions`` resolves a state
     when asked."""
 
+    functor = "G"   # the only one; Khovanov's on a closed diagram
     diagram: TangleDiagram
-    functor: str
     field: object
     n_plus: int
     n_minus: int
@@ -337,9 +337,8 @@ class _Resolutions(Mapping):
         return len(self._c.layout)
 
 
-def build_complex(d: TangleDiagram, functor="G",
-                  field=GF2) -> GradedChainComplex:
-    """Assemble the cochain complex of ``d`` under the given functor.
+def build_complex(d: TangleDiagram, field=GF2) -> GradedChainComplex:
+    """Assemble the cochain complex of ``d``.
 
     Each state is walked once into a node -> component array
     (``diagram.walk``) and each cube edge classified and signed once from
@@ -351,10 +350,6 @@ def build_complex(d: TangleDiagram, functor="G",
     rep = validate(d)
     if not rep.ok:
         raise ComplexError("invalid diagram: " + "; ".join(rep.problems))
-    if functor == "F" and d.boundary:
-        raise ComplexError("functor F requires an empty boundary")
-    if functor not in ("F", "G"):
-        raise ComplexError(f"unknown functor {functor!r}")
 
     ports = d.wiring()[3]
     n, t, n_minus = d.n, len(d.boundary) // 2, d.n_minus
@@ -389,7 +384,7 @@ def build_complex(d: TangleDiagram, functor="G",
         edges[state] = tuple(out)
 
     return GradedChainComplex(
-        diagram=d, functor=functor, field=field,
+        diagram=d, field=field,
         n_plus=d.n_plus, n_minus=d.n_minus, rt=rt,
         layout=layout, edges=edges, dims=dims)
 
@@ -467,7 +462,11 @@ class BigradedHomology:
         """Coordinates {k: coefficient} on ``representatives[(p, q)]`` of
         the class of the cocycle ``z`` {index: coefficient} of block (p, q);
         {} where z or H^{p,q} is 0.  Raises ValueError when z is not a
-        cocycle.  Representative k joins the kept echelon as coordinate k."""
+        cocycle; where H^{p,q} = 0 that is checked by applying d^p.
+        Representative k joins the kept echelon as coordinate k."""
+        if z and not self.rank(p, q) and linalg.matvec(
+                self.complex.differentials[p], z, self.field):
+            raise ValueError(f"not a cocycle at (p, q) = ({p}, {q})")
         if not (z and self.rank(p, q)):
             return {}
         if (p, q) not in self.echelons:

@@ -120,7 +120,12 @@ class CrossingRecord:
     under: tuple    # (strand index, parameter)
     over: tuple
     sign: int
-    over_in_slot: int  # 1 or 3; under always enters at slot 0, leaves at 2
+
+    @property
+    def over_in_slot(self):
+        """1 or 3: the port slot the over-strand enters at, counterclockwise
+        from the under-strand's entry at 0 (its exit is 2); 1 iff sign +1."""
+        return 1 if self.sign > 0 else 3
 
 
 # Rounding margin, relative to a segment's size and position, added to
@@ -135,7 +140,6 @@ class PlanarArrangement:
     strands: list
     crossings: list
     tol: float
-    report: dict = dc_field(default_factory=dict)
     _ranges: dict = dc_field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -340,16 +344,10 @@ def project_and_detect(c: CurveSet, tol=1e-9) -> PlanarArrangement:
         du = strands[under[0]].dir_at(under[1])
         do = strands[over[0]].dir_at(over[1])
         sign = 1 if _cross2(du, do) > 0 else -1
-        # counterclockwise port slots starting from the under-in direction
-        base = math.atan2(-du[1], -du[0])
-        rel = (math.atan2(-do[1], -do[0]) - base) % (2 * math.pi)
-        over_in_slot = 1 if rel < math.pi else 3
         crossings.append(CrossingRecord(pos=pos, under=under, over=over,
-                                        sign=sign,
-                                        over_in_slot=over_in_slot))
+                                        sign=sign))
     crossings.sort(key=lambda c: (c.under, c.over))
-    return PlanarArrangement(strands=strands, crossings=crossings, tol=tol,
-                             report={"n_crossings": len(crossings)})
+    return PlanarArrangement(strands=strands, crossings=crossings, tol=tol)
 
 
 # -- critical radii ------------------------------------------------------
@@ -358,12 +356,8 @@ def project_and_detect(c: CurveSet, tol=1e-9) -> PlanarArrangement:
 @dataclass(frozen=True)
 class FiltrationEvent:
     radius: float
-    cause: str   # see CAUSES
+    cause: str
     where: tuple
-
-
-CAUSES = ("crossing enters disk", "boundary-endpoint count changes",
-          "component fully enclosed", "component first enters")
 
 
 def _strand_distance_profile(strand: Strand, center):
@@ -655,7 +649,7 @@ def _match_piece(piece: Piece, target: ClipResult, nseg):
 
 
 def build_filtration(pa: PlanarArrangement, center, grades,
-                     functor="G", field=None) -> Filtration:
+                     field=None) -> Filtration:
     """Clip at every grade and join consecutive clips by closure steps.
 
     Steps where the crossing set changes, a piece merge occurs, or an
@@ -670,7 +664,7 @@ def build_filtration(pa: PlanarArrangement, center, grades,
         steps.append(step)
     return Filtration(grades=list(grades),
                       diagrams=[c.diagram for c in clips],
-                      steps=steps, functor=functor, field=field)
+                      steps=steps, field=field)
 
 
 def _closure_step(pa, a: ClipResult, b: ClipResult):

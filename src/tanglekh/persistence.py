@@ -153,8 +153,6 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
     where ``spec`` sends them."""
     if src.field != dst.field:
         raise MorphismError("complexes over different fields")
-    if src.functor != "G" or dst.functor != "G":
-        raise MorphismError("closure maps require the arc-aware functor")
     if spec.source != src.diagram or spec.target != dst.diagram:
         raise MorphismError("spec does not match the given complexes")
     spec.validate()
@@ -226,12 +224,11 @@ def _portless_ranks(d: TangleDiagram):
 
 
 def _target(c: GradedChainComplex, d2: TangleDiagram, dst, kind):
-    """``dst`` if it is the complex of ``d2`` over c's functor and field;
-    built afresh when None."""
+    """``dst`` if it is the complex of ``d2`` over c's field; built afresh
+    when None."""
     if dst is None:
-        return build_complex(d2, functor=c.functor, field=c.field)
-    if (dst.diagram != d2 or dst.functor != c.functor
-            or dst.field != c.field):
+        return build_complex(d2, field=c.field)
+    if dst.diagram != d2 or dst.field != c.field:
         raise MorphismError(f"{kind} target mismatch")
     return dst
 
@@ -494,7 +491,7 @@ class Filtration:
     across it).
     """
 
-    def __init__(self, grades, diagrams, steps, functor="G", field=None):
+    def __init__(self, grades, diagrams, steps, field=None):
         if list(grades) != sorted(set(grades)):
             raise MorphismError("grades must be strictly increasing")
         if len(diagrams) != len(grades):
@@ -504,7 +501,6 @@ class Filtration:
         self.grades = list(grades)
         self.diagrams = list(diagrams)
         self.steps = list(steps)
-        self.functor = functor
         self.field = GF2 if field is None else field
         self._runs = None
 
@@ -547,7 +543,7 @@ class Filtration:
         built = {}
         for d in self.diagrams:
             if d not in built:
-                c = build_complex(d, functor=self.functor, field=self.field)
+                c = build_complex(d, field=self.field)
                 built[d] = (c, homology(c))
         complexes = [built[d][0] for d in self.diagrams]
         homologies = [built[d][1] for d in self.diagrams]

@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import re
 
 from fractions import Fraction
 
@@ -206,10 +207,8 @@ def test_compute_f2_closed_cut_open_cases(tmp_path, capsys):
     for word, strands in (([1, 1, 1], 2), ([1, -2, 1, -2], 3), ([1], 3)):
         d = braid_closure(word, strands)
         for field in ("f2", "fp:2"):
-            for functor in ("g", "f"):
-                assert compute_report(tmp_path, capsys, d, "--field", field,
-                                      "--functor", functor) == \
-                    full_cube_report(d, field)
+            assert compute_report(tmp_path, capsys, d, "--field", field) == \
+                full_cube_report(d, field)
     # ports already named as the cut's first choices of boundary label
     trefoil = braid_closure([1, 1, 1], 2)
     name = {p: ("cut", k) for k, p in
@@ -322,30 +321,25 @@ def test_persist_op_closure_step(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["q", "fp:3", "f2"])
-def test_persist_identity_steps_under_functor_f(tmp_path, capsys, name):
+def test_persist_identity_steps_on_a_link(tmp_path, capsys, name):
     d = braid_closure([1, -2, 1, 1], 3).to_json()
     d["free_circles"] += 1
     filt = {"grades": [0, 1, 2], "diagrams": [d] * 3,
             "steps": [{"kind": "identity"}] * 2}
     path = write_json(tmp_path / "filt.json", filt)
-    bars = {}
-    for functor in ("f", "g"):
-        assert main(["persist", path, "--field", name,
-                     "--functor", functor]) == 0
-        bars[functor] = json.loads(capsys.readouterr().out)
-    assert bars["f"] == bars["g"] != []
-    assert all(r["birth"] == 0 and r["death"] is None for r in bars["f"])
+    assert main(["persist", path, "--field", name]) == 0
+    bars = json.loads(capsys.readouterr().out)
+    assert bars != []
+    assert all(r["birth"] == 0 and r["death"] is None for r in bars)
 
 
-@pytest.mark.parametrize("functor", ["f", "g"])
-def test_persist_identity_between_different_diagrams_exit_2(
-        tmp_path, capsys, functor):
+def test_persist_identity_between_different_diagrams_exit_2(tmp_path, capsys):
     filt = {"grades": [0, 1],
             "diagrams": [braid_closure([1, 1, 1], 2).to_json(),
                          braid_closure([1, 1], 2).to_json()],
             "steps": [{"kind": "identity"}]}
     path = write_json(tmp_path / "filt.json", filt)
-    assert main(["persist", path, "--functor", functor]) == 2
+    assert main(["persist", path]) == 2
     assert "step 0: identity target mismatch" in capsys.readouterr().err
 
 
@@ -488,6 +482,25 @@ def test_ingest_pipeline(tmp_path):
                  "--out", str(tmp_path / "bars.json")]) == 0
 
 
+def test_ingest_to_stdout_pipes_into_persist(tmp_path, capsys):
+    """Without --out, stdout holds the filtration alone and no events file
+    is written; persist reads it as it stands."""
+    payload = {"curves": [{"points": circle_polyline(1.0, cx=3.0, n=128),
+                           "closed": True}],
+               "axis": "z", "center": [0.0, 0.0]}
+    path = write_json(tmp_path / "curves.json", payload)
+    assert main(["ingest", path]) == 0
+    text = capsys.readouterr().out
+    filt = tmp_path / "filt.json"
+    filt.write_text(text)
+    assert main(["ingest", path, "--out", str(filt)]) == 0
+    assert filt.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["curves.json", "filt.json", "filt.json.events.json"]
+    assert main(["persist", str(filt), "--field", "q"]) == 0
+    assert json.loads(capsys.readouterr().out) != []
+
+
 def test_ingest_genericity_exit_3(tmp_path, capsys):
     payload = {"curves": [
         {"points": [[-1, 0, 0.5], [1, 0, 0.5]], "closed": False},
@@ -530,6 +543,41 @@ def test_ingest_closed_is_a_json_boolean(tmp_path):
     assert [c.closed for c in read.curves] == [False, False, True]
 
 
-def test_compute_functor_f_on_tangle_fails(tmp_path):
+def test_compute_functor_f_on_tangle_fails(tmp_path, capsys):
+    """There is no --functor flag: functor G on a closed diagram is
+    Khovanov's, and on a tangle it is the only one."""
     path = diagram_file(tmp_path, braid_tangle([1], 2))
-    assert main(["compute", path, "--functor", "f"]) == 2
+    with pytest.raises(SystemExit) as e:
+        main(["compute", path, "--functor", "f"])
+    assert e.value.code == 2
+    assert "unrecognized arguments: --functor" in capsys.readouterr().err
+
+
+# each subcommand takes only the flags it reads
+FLAGS_OF = {"compute": {"--field", "--out", "--format", "--generators"},
+            "persist": {"--field", "--out", "--format"},
+            "ingest": {"--out", "--tol"},
+            "oracle": set()}
+VALUES = {"--field": ["q"], "--functor": ["g"], "--out": ["x.json"],
+          "--format": ["json"], "--tol": ["0.001"], "--generators": []}
+
+
+@pytest.mark.parametrize("cmd,flag", [
+    (cmd, flag) for cmd, flags in FLAGS_OF.items()
+    for flag in sorted(set(VALUES) - flags)])
+def test_unread_flags_exit_2(tmp_path, capsys, cmd, flag):
+    path = diagram_file(tmp_path, braid_closure([1, 1, 1], 2))
+    with pytest.raises(SystemExit) as e:
+        main([cmd, path, flag, *VALUES[flag]])
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("cmd", sorted(FLAGS_OF))
+def test_subcommands_take_exactly_their_flags(capsys, cmd):
+    with pytest.raises(SystemExit) as e:
+        main([cmd, "--help"])
+    assert e.value.code == 0
+    flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert flags - {"--help"} == FLAGS_OF[cmd]

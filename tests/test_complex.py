@@ -57,20 +57,6 @@ def test_kink_homology_with_representatives():
         assert c.basis[0][idx].labels == labels
 
 
-def test_functor_f_rejects_boundary():
-    with pytest.raises(ComplexError):
-        build_complex(bare_arc(), functor="F")
-
-
-def test_functor_f_matches_g_on_links():
-    d = braid_closure([1, 1], 2)
-    hf = homology(build_complex(d, functor="F", field=QQ),
-                  representatives=False)
-    hg = homology(build_complex(d, functor="G", field=QQ),
-                  representatives=False)
-    assert hf.ranks == hg.ranks
-
-
 def test_invalid_diagram_raises():
     bad = TangleDiagram(boundary=("a",), connections=[])
     with pytest.raises(ComplexError):

@@ -106,6 +106,25 @@ def test_induced_map_of_a_non_chain_map_raises():
         induced_on_homology(f, h, h)
 
 
+def test_induced_map_into_a_zero_block_checks_the_image():
+    """An image that lands in a target block with H = 0 must still be a
+    cocycle there."""
+    c = build_complex(braid_closure([1, 1, 1, 1, 1], 2), field=QQ)
+    h = homology(c)
+    f = identity_map(c, c)
+    (p, q), reps = next(iter(h.representatives.items()))
+    t = next(t for t in c.block_sizes(p) if not h.rank(p, t)
+             and any(differential(c, p, {i: QQ.one})
+                     for i in c.block_generators(p, t)))
+    bad = next(i for i in c.block_generators(p, t)
+               if differential(c, p, {i: QQ.one}))
+    f.q_shift = t - q
+    f.apply = lambda pp, vec: {bad: QQ.one} if vec is reps[0] else {}
+    with pytest.raises(MorphismError, match="the image of a cocycle is "
+                       rf"not a cocycle at \(p, q\) = \({p}, {t}\)"):
+        induced_on_homology(f, h, h)
+
+
 def test_classes_builds_each_solver_once():
     c = build_complex(braid_closure([1, 1, 1, 1, 1], 2), field=QQ)
     h = homology(c)
@@ -119,11 +138,21 @@ def test_classes_builds_each_solver_once():
 
 
 def test_classes_skips_zero_blocks():
+    """A block with H = 0 keeps no echelon to solve against: ``classes``
+    gives {} for a coboundary there and raises for a chain that is no
+    cocycle."""
     c = build_complex(braid_closure([1, 1, 1], 2), field=QQ)
     h = homology(c)
     p, q = 1, 3   # H^{1,3} = 0 for the trefoil
     assert h.rank(p, q) == 0 and (p, q) not in h.echelons
-    assert h.classes(p, q, random_chain(c, p, q, random.Random(3))) == {}
+    rng = random.Random(3)
+    b = differential(c, p - 1, random_chain(c, p - 1, q, rng))
+    assert b and h.classes(p, q, b) == {}
+    z = random_chain(c, p, q, rng)
+    assert differential(c, p, z)
+    with pytest.raises(ValueError, match=r"not a cocycle at \(p, q\) = "
+                       rf"\({p}, {q}\)"):
+        h.classes(p, q, z)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -159,7 +188,7 @@ def test_identity_map_needs_equal_diagrams():
     with pytest.raises(MorphismError, match="identity target mismatch"):
         identity_map(build_complex(a), build_complex(b))
     filt = Filtration(grades=[0, 1], diagrams=[a, b],
-                      steps=[{"kind": "identity"}], functor="F")
+                      steps=[{"kind": "identity"}])
     with pytest.raises(MorphismError, match="step 0: identity"):
         filt.runs()
 

@@ -216,6 +216,37 @@ def test_grid_matches_all_pairs_on_moved_torus_and_mixed_strands():
     assert ok == "ok" and len(crossings) > 5
 
 
+def atan2_slot(pa, c):
+    """The over-strand's entry slot measured by angle: counterclockwise
+    from the under-strand's entry, slot 1 within half a turn, else 3."""
+    du = pa.strands[c.under[0]].dir_at(c.under[1])
+    do = pa.strands[c.over[0]].dir_at(c.over[1])
+    base = math.atan2(-du[1], -du[0])
+    rel = (math.atan2(-do[1], -do[0]) - base) % (2 * math.pi)
+    return 1 if rel < math.pi else 3
+
+
+def test_over_slot_follows_sign():
+    rng = random.Random(29)
+    seen = 0
+    for k in range(60):
+        if k % 2:
+            p, q = rng.choice([(2, 3), (2, 5), (3, 4)])
+            polys = [(torus_points(p, q, rng.randrange(60, 200),
+                                   turn=rng.uniform(0, 2 * math.pi)), True)]
+        else:
+            polys = [(random_polyline(rng, rng.randrange(2, 20)), False)
+                     for _ in range(rng.randrange(1, 4))]
+        try:
+            pa = project_and_detect(curves(*polys))
+        except GenericityError:
+            continue
+        for c in pa.crossings:
+            assert c.over_in_slot == atan2_slot(pa, c)
+            seen += 1
+    assert seen > 200
+
+
 def test_clip_distance_ranges_keep_pieces():
     """Skipping segments whose distance range misses the radius leaves
     every clip as solving on every segment does."""
