@@ -333,10 +333,15 @@ def test_persist_identity_steps_on_a_link(tmp_path, capsys, name):
     assert all(r["birth"] == 0 and r["death"] is None for r in bars)
 
 
-def test_persist_identity_between_different_diagrams_exit_2(tmp_path, capsys):
+# The case ids are the names these cases have had since functors F and G
+# were split: "f" compares two links, "g" two tangles with boundary.
+@pytest.mark.parametrize("make", [braid_closure, braid_tangle],
+                         ids=["f", "g"])
+def test_persist_identity_between_different_diagrams_exit_2(
+        tmp_path, capsys, make):
     filt = {"grades": [0, 1],
-            "diagrams": [braid_closure([1, 1, 1], 2).to_json(),
-                         braid_closure([1, 1], 2).to_json()],
+            "diagrams": [make([1, 1, 1], 2).to_json(),
+                         make([1, 1], 2).to_json()],
             "steps": [{"kind": "identity"}]}
     path = write_json(tmp_path / "filt.json", filt)
     assert main(["persist", path]) == 2
