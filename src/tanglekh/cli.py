@@ -12,13 +12,11 @@ import argparse
 import csv
 import json
 import sys
-from collections import Counter
 
 from .algebra import field_from_name
-from .complex import (ComplexError, build_complex, homology,
-                      verify_d_squared)
-from .diagram import (PlanarTangleSpec, TangleDiagram, _label, cut_open,
-                      validate)
+from .complex import (BigradedHomology, ComplexError, build_complex,
+                      homology, verify_d_squared)
+from .diagram import PlanarTangleSpec, TangleDiagram, _label, validate
 from .ingest import (CurveSet, GenericityError, build_filtration,
                      critical_radii, events_json, project_and_detect,
                      sample_grades)
@@ -120,18 +118,18 @@ def _field(name):
 def cmd_compute(args):
     d = _load_diagram(args.diagram)
     field = _field(args.field)
-    # Over F2 a closed, non-empty diagram's homology is its reduced one (of
-    # the diagram cut open at one point) tensored with the unknot's
-    cut = (field.char == 2 and not d.boundary and not args.generators
-           and bool(d.crossings or d.free_circles))
-    try:
-        c = build_complex(cut_open(d) if cut else d, field=field)
-    except ComplexError as e:
-        raise SystemExit2(str(e))
-    h = homology(c, representatives=args.generators)
-    if cut:   # Kh^{p,q} = H^{p,q} + H^{p,q-2} (Shumakovitch)
-        shifted = Counter({(p, q + 2): r for (p, q), r in h.ranks.items()})
-        h.ranks = dict(Counter(h.ranks) + shifted)
+    if d.boundary or args.generators:
+        try:
+            c = build_complex(d, field=field)
+        except ComplexError as e:
+            raise SystemExit2(str(e))
+        h = homology(c, representatives=args.generators)
+    else:   # a closed diagram's ranks alone: no cube is built
+        # imported where it is used: no other command compiles the module
+        from .local import closed_ranks
+        h = BigradedHomology(field=field, n_plus=d.n_plus,
+                             n_minus=d.n_minus,
+                             ranks=closed_ranks(d, field), representatives={})
     report = h.to_json()
     report["betti"] = {str(p): betti_polynomial(h, p).to_json()
                       for p in h.degrees}

@@ -336,20 +336,6 @@ def resolve(d: TangleDiagram, state) -> Resolution:
     return Resolution(state=state, components=tuple(components), r=r, t=t)
 
 
-def cut_open(d: TangleDiagram) -> TangleDiagram:
-    """The closed, non-empty ``d`` cut open at one point: the first
-    connection (u, v) becomes (u, b0), (b1, v), or else a free circle the
-    arc (b0, b1), b0 and b1 the first labels ("cut", k) not in ``d``.
-    The crossings, so n+, n-, the states and the edge signs, stay."""
-    b0, b1 = [x for x in (("cut", k) for k in range(len(d._key) + 2))
-              if x not in d._key][:2]
-    if not d.connections:
-        return TangleDiagram((b0, b1), (), [(b0, b1)], d.free_circles - 1)
-    (u, v), rest = d.connections[0], d.connections[1:]
-    return TangleDiagram((b0, b1), d.crossings, [(u, b0), (b1, v), *rest],
-                         d.free_circles)
-
-
 # -- 1-input planar tangle operations ------------------------------------
 
 

@@ -648,8 +648,7 @@ def _match_piece(piece: Piece, target: ClipResult, nseg):
     return hits[0] if len(hits) == 1 else None
 
 
-def build_filtration(pa: PlanarArrangement, center, grades,
-                     field=None) -> Filtration:
+def build_filtration(pa: PlanarArrangement, center, grades) -> Filtration:
     """Clip at every grade and join consecutive clips by closure steps.
 
     Steps where the crossing set changes, a piece merge occurs, or an
@@ -664,7 +663,7 @@ def build_filtration(pa: PlanarArrangement, center, grades,
         steps.append(step)
     return Filtration(grades=list(grades),
                       diagrams=[c.diagram for c in clips],
-                      steps=steps, field=field)
+                      steps=steps)
 
 
 def _closure_step(pa, a: ClipResult, b: ClipResult):

@@ -241,7 +241,8 @@ def test_criterion_8_barcode_laws():
         Polyline(points=circle_polyline(1.0, cx=10.0, n=128), closed=True)])
     pa = project_and_detect(cs)
     grades = sample_grades(critical_radii(pa, (0, 0)))
-    check_barcode_laws(build_filtration(pa, (0, 0), grades, field=QQ))
+    f = build_filtration(pa, (0, 0), grades)
+    check_barcode_laws(Filtration(f.grades, f.diagrams, f.steps, field=QQ))
 
 
 def test_criterion_9_flat_trefoil_ingestion():
@@ -255,7 +256,8 @@ def test_criterion_9_flat_trefoil_ingestion():
     xr = sorted(e.radius for e in events if e.cause == "crossing enters disk")
     assert len(xr) == 3
     grades = sample_grades(events)
-    filt = build_filtration(pa, center, grades, field=QQ)
+    f = build_filtration(pa, center, grades)
+    filt = Filtration(f.grades, f.diagrams, f.steps, field=QQ)
     # every crossing birth is a run boundary, one per crossing radius
     xbreaks = [i for i, s in enumerate(filt.steps)
                if s["kind"] == "break"

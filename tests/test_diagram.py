@@ -4,8 +4,7 @@ import random
 import pytest
 
 from tanglekh.diagram import (Crossing, PlanarTangleSpec, TangleDiagram,
-                              apply_planar, check_planar, cut_open, resolve,
-                              validate)
+                              apply_planar, check_planar, resolve, validate)
 
 from conftest import bare_arc, braid_closure, braid_tangle, kink_arc
 from planar_reference import apply_planar as ref_apply_planar
@@ -311,14 +310,3 @@ def test_apply_planar_matches_reference():
     assert kinds == {"arc", "circle", "port"}
     assert applied >= 2000 and loops >= 100
 
-
-def test_cut_open_keeps_crossings_and_picks_unused_labels():
-    d = braid_closure([1, -2, 1], 3)
-    cut = cut_open(d)
-    assert validate(cut).ok and cut.crossings == d.crossings
-    assert cut.boundary == (("cut", 0), ("cut", 1))
-    assert cut.free_circles == d.free_circles
-    assert len(cut.connections) == len(d.connections) + 1
-    circles = cut_open(TangleDiagram(free_circles=2))
-    assert validate(circles).ok and circles.free_circles == 1
-    assert circles.portless_arcs() == ((("cut", 0), ("cut", 1)),)

@@ -10,6 +10,7 @@ from tanglekh.complex import build_complex, homology
 from tanglekh.ingest import (CurveSet, GenericityError, Polyline,
                              build_filtration, clip, critical_radii,
                              events_json, project_and_detect, sample_grades)
+from tanglekh.persistence import Filtration
 
 from clip_reference import clip as ref_clip
 from conftest import braid_closure, circle_polyline, flat_trefoil_points
@@ -428,7 +429,8 @@ def test_far_circles_filtration_single_run():
                 (circle_polyline(1.0, cx=10.0, n=128), True))
     pa = project_and_detect(cs)
     grades = sample_grades(critical_radii(pa, (0, 0)))
-    filt = build_filtration(pa, (0, 0), grades, field=QQ)
+    f = build_filtration(pa, (0, 0), grades)
+    filt = Filtration(f.grades, f.diagrams, f.steps, field=QQ)
     assert all(s["kind"] == "closure" for s in filt.steps)
     for s in filt.steps:
         s["spec"].validate()
@@ -478,7 +480,8 @@ def test_flat_trefoil_pipeline():
     xr = sorted(e.radius for e in events if e.cause == "crossing enters disk")
     assert len(xr) == 3
     grades = sample_grades(events)
-    filt = build_filtration(pa, center, grades, field=QQ)
+    f = build_filtration(pa, center, grades)
+    filt = Filtration(f.grades, f.diagrams, f.steps, field=QQ)
     # crossing births always break the runs, one per crossing radius
     xbreaks = [i for i, s in enumerate(filt.steps)
                if s["kind"] == "break" and s["cause"] == "crossing set changes"]
