@@ -169,17 +169,15 @@ class GradedChainComplex:
         """The columns of the block d^p_q, computed on demand.
 
         Yields ``(k, column)`` for each block-local column index k not in
-        ``skip``, in order.  Rows are block-local indices of (p+1, q): a
-        column is a packed int over F2 (bit r for row r) and a dict
-        {row: int} otherwise, with entries 1 and -1 (mod p over F_p).
-        Columns in ``skip`` are never built.
+        ``skip``, in order.  A column is a dict {row: int} over
+        block-local rows of (p+1, q), with entries 1 and -1 (mod p over
+        F_p, so all 1 over F2).  Columns in ``skip`` are never built.
 
         A generator's block-local index is its state's start in the block
         plus the rank of its mask among the masks of equal popcount in
         ascending order, which is the mask's colex rank."""
         rows = {state: start for state, _, _, start in self._block(p + 1, q)}
         f = self.field
-        packed = f.char == 2
         pos, neg = 1, (f.p - 1 if f.char else -1)
         for state, r, k, start in self._block(p, q):
             edges = []
@@ -193,16 +191,10 @@ class GradedChainComplex:
             for j, m in enumerate(_by_popcount(r)[k], start):
                 if j in skip:
                     continue
-                if packed:
-                    col = 0
-                    for base, by, active, terms, rank, _ in edges:
-                        for t in terms[m & active]:
-                            col |= 1 << (base + rank[by[m] | t])
-                else:
-                    col = {}
-                    for base, by, active, terms, rank, x in edges:
-                        for t in terms[m & active]:
-                            col[base + rank[by[m] | t]] = x
+                col = {}
+                for base, by, active, terms, rank, x in edges:
+                    for t in terms[m & active]:
+                        col[base + rank[by[m] | t]] = x
                 yield j, col
 
     def _state_columns(self, state, masks=None):
@@ -391,9 +383,9 @@ def build_complex(d: TangleDiagram, field=GF2) -> GradedChainComplex:
 
 def verify_d_squared(c: GradedChainComplex):
     """Check d(p+1) . d(p) = 0 block by block: each column of d^p_q is
-    composed with the columns of d^{p+1}_q it meets, by XOR of packed
-    columns over F2.  Returns (ok, first violating (p, column)), the
-    column as a global index and the first one in index order."""
+    composed with the columns of d^{p+1}_q it meets, in integers reduced
+    mod the characteristic.  Returns (ok, first violating (p, column)),
+    the column as a global index and the first one in index order."""
     mod = c.field.char
     for p in c.degrees:
         if p + 1 not in c.dims:
@@ -402,19 +394,11 @@ def verify_d_squared(c: GradedChainComplex):
         for q in c.block_sizes(p):
             nxt = [col for _, col in c.block_columns(p + 1, q)]
             for k, col in c.block_columns(p, q):
-                if mod == 2:
-                    acc = 0
-                    while col:
-                        low = col & -col
-                        acc ^= nxt[low.bit_length() - 1]
-                        col ^= low
-                else:
-                    acc = {}
-                    for j, x in col.items():
-                        for r, y in nxt[j].items():
-                            acc[r] = acc.get(r, 0) + x * y
-                    acc = any(v % mod if mod else v for v in acc.values())
-                if acc:
+                acc = {}
+                for j, x in col.items():
+                    for r, y in nxt[j].items():
+                        acc[r] = acc.get(r, 0) + x * y
+                if any(v % mod if mod else v for v in acc.values()):
                     i = c.block_generators(p, q)[k]
                     bad = i if bad is None else min(bad, i)
                     break
@@ -475,7 +459,6 @@ class BigradedHomology:
         local = self._local.get((p, q))
         if local is None:
             local = self._local[(p, q)] = self.complex.block_local(p, q)
-            red.widen(own + 1)
             for k, rep in enumerate(self.representatives[(p, q)]):
                 red.add(red.load({local(i): x for i, x in rep.items()}, k))
         v = red.reduce(red.load({local(i): x for i, x in z.items()}, own))
@@ -546,7 +529,7 @@ def homology(c: GradedChainComplex, representatives=True) -> BigradedHomology:
 def _cocycles(f, gens, live):
     """Tracked elimination of one block: the uncleared columns that
     reduce to zero, as chain vectors over the global indices ``gens``."""
-    red = linalg.reducer(f, ncoords=len(gens))
+    red = linalg.reducer(f)
     out = []
     for k, col in live:
         v = red.add(red.take(col, key=k))

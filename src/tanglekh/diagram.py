@@ -3,9 +3,9 @@
 A diagram is a list of crossings (4 ports each, listed counterclockwise
 with ports[0] and ports[2] on the under-strand), a set of connection
 pairs wiring ports and boundary endpoints together, and a count of
-crossing-free circles.  Boundary endpoints are listed counterclockwise
-around the disk.  Planarity of the wiring is not verified; non-planar
-inputs are processed formally.
+crossing-free circles.  Boundary endpoints are listed around the disk,
+counterclockwise or clockwise (the homology does not depend on which),
+and ``validate`` rejects a wiring that no such disk can hold.
 """
 
 from __future__ import annotations
@@ -251,7 +251,51 @@ def validate(d: TangleDiagram) -> ValidationReport:
             "labels without a connection: "
             + ", ".join(sorted(map(str, missing))))
 
+    if not problems and not _planar(d):
+        problems.append("wiring is not planar (no disk holds it)")
     return ValidationReport(ok=not problems, problems=tuple(problems))
+
+
+def _planar(d: TangleDiagram):
+    """Whether the wiring embeds in the disk: the crossings are vertices
+    with their ports counterclockwise, and the boundary shrunk to a point
+    is one more, with the endpoints in list order or reversed."""
+    _, _, partner, ports = d.wiring()
+    m = len(d.boundary)   # the boundary endpoints are node ranks 0..m-1
+    turn = list(range(len(partner)))
+    for ps in ports:
+        for j, x in enumerate(ps):
+            turn[x] = ps[(j + 1) % 4]
+    for step in (-1, 1):
+        turn[:m] = [(k + step) % m for k in range(m)]
+        if _genus_zero(partner, turn, len(ports) + (m > 0)):
+            return True
+    return False
+
+
+def _genus_zero(partner, turn, vertices):
+    """Whether V - E + F = 2 on each connected component of a rotation
+    system: darts are paired into edges by ``partner`` and follow each
+    other around their vertex by ``turn``, and the faces are the orbits
+    of "cross an edge, then turn"."""
+    faces = _orbits([turn[y] for y in partner])
+    edges = len(partner) // 2
+    return vertices - edges + faces == 2 * _orbits(partner, turn)
+
+
+def _orbits(*perms):
+    """The number of orbits of the group that ``perms`` generate."""
+    seen, count = set(), 0
+    for x in range(len(perms[0])):
+        if x not in seen:
+            count += 1
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                if y not in seen:
+                    seen.add(y)
+                    stack.extend(perm[y] for perm in perms)
+    return count
 
 
 # -- resolving states ----------------------------------------------------
@@ -370,29 +414,10 @@ class PlanarTangleSpec:
                    arcs=tuple(zip(inner, outer)), circles=0)
 
 
-def _noncrossing(seq, pairs):
-    """Stack check: chords over a linearly ordered point set."""
-    partner = {}
-    for a, b in pairs:
-        partner[a], partner[b] = b, a
-    stack = []
-    for p in seq:
-        if stack and stack[-1] == partner[p]:
-            stack.pop()
-        else:
-            stack.append(p)
-    return not stack
-
-
 def check_planar(op: PlanarTangleSpec) -> ValidationReport:
-    """Verify the operator's matching is realizable in the annulus.
-
-    Cutting the annulus along a through-arc from a (inner) to b (outer)
-    leaves a disk whose boundary meets the outer points counterclockwise
-    after b, then the inner points clockwise after a: the other arcs
-    must be non-crossing there.  With no through-arc, the inner and the
-    outer chords must each be non-crossing on their own circle.
-    """
+    """Verify the operator's matching is realizable in the annulus: with
+    the hole and the outer circle each shrunk to a point, the arcs must
+    make a rotation system of genus 0."""
     problems = []
     pts = set(op.inner_boundary) | set(op.outer_boundary)
     seen = set()
@@ -411,14 +436,15 @@ def check_planar(op: PlanarTangleSpec) -> ValidationReport:
         return ValidationReport(False, tuple(problems))
 
     ins, outs = op.inner_boundary, op.outer_boundary
-    cut = next(((a, b) if a in ins else (b, a) for a, b in op.arcs
-                if (a in ins) != (b in ins)), None)
-    if cut is None:
-        planar = _noncrossing(ins, op.arcs) and _noncrossing(outs, op.arcs)
-    else:
-        i, o = ins.index(cut[0]), outs.index(cut[1])
-        planar = _noncrossing(outs[o + 1:] + outs[:o]
-                              + (ins[i + 1:] + ins[:i])[::-1], op.arcs)
+    rank = {x: k for k, x in enumerate(ins + outs)}
+    partner = [0] * len(rank)
+    for a, b in op.arcs:
+        partner[rank[a]], partner[rank[b]] = rank[b], rank[a]
+    n, m = len(ins), len(outs)
+    # seen from the annulus the outer circle runs the other way round
+    turn = ([(k + 1) % n for k in range(n)]
+            + [n + (k - 1) % m for k in range(m)])
+    planar = _genus_zero(partner, turn, (n > 0) + (m > 0))
     return ValidationReport(planar, () if planar
                             else ("arcs cross (not planar)",))
 

@@ -1,90 +1,33 @@
 """Exact sparse column elimination: one reducer, specialised by field.
 
-Each backend keeps an incremental column echelon form in its own column
-format:
+Each backend keeps an incremental column echelon form over sparse
+columns, dicts {row: int}:
 
-- ``F2Reducer``: a column is a Python int, bit r set for row r;
-- ``FpReducer``: a column is a dict {row: int mod p}, stored with pivot 1;
-- ``QReducer``: a column is a dict {row: int}; elimination is fraction
-  free (a*v - b*col) and stored columns are divided by their content, so
-  no ``Fraction`` arithmetic happens while reducing.
+- ``FpReducer``: entries are ints mod p (p = 2 included), and stored
+  columns have pivot 1;
+- ``QReducer``: entries are ints; elimination is fraction free
+  (a*v - b*col) and stored columns are divided by their content, so no
+  ``Fraction`` arithmetic happens while reducing.
 
-All three take the highest nonzero row of a column as its pivot, so that
+Both take the highest nonzero row of a column as its pivot, so that
 columns added in index order obey the clearing lemma used by
 ``complex.homology``.  Coordinates are tracked by augmentation: a column
-loaded with ``key=k`` carries coordinate k in rows below the real ones
-(negative dict keys, or the low ``ncoords`` bits over F2).  After any
-reduction the real part of a column equals the sum, over its coordinates,
-of coordinate times loaded column, modulo the columns loaded without a key.
+loaded with ``key=k`` carries coordinate k as the negative row ~k, below
+the real ones.  After any reduction the real part of a column equals the
+sum, over its coordinates, of coordinate times loaded column, modulo the
+columns loaded without a key.
 
 ``load`` turns a field-valued dict into backend format, and ``take``
-accepts a column already in it (a packed int over F2, {row: int} with
-entries reduced mod p or integral over Q), such as the columns that
-``GradedChainComplex.block_columns`` streams; both add the coordinate
-``key`` if given.  ``coords`` turns the coordinate part back into field
-values.
+accepts a column already in it (entries reduced mod p, or integral over
+Q), such as the columns that ``GradedChainComplex.block_columns``
+streams; both add the coordinate ``key`` if given.  ``coords`` turns the
+coordinate part back into field values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-from .algebra import GF2
-
-
-class F2Reducer:
-    """GF(2) echelon with columns as Python ints (bit i = row i)."""
-
-    __slots__ = ("pivots", "rank", "shift")
-
-    def __init__(self, ncoords=0):
-        self.pivots = {}      # bit length of the column -> column
-        self.rank = 0
-        self.shift = ncoords  # real row r is bit r + shift
-
-    def load(self, vec, key=None):
-        return self.take(pack(vec), key)
-
-    def take(self, col, key=None):
-        v = col << self.shift
-        return v if key is None else v | 1 << key
-
-    def reduce(self, v):
-        pivots, shift = self.pivots, self.shift
-        while True:
-            top = v.bit_length()
-            if top <= shift:
-                return v
-            col = pivots.get(top)
-            if col is None:
-                return v
-            v ^= col
-
-    def add(self, v):
-        """Reduce and, if the real part is nonzero, store.  Returns the
-        reduced column."""
-        v = self.reduce(v)
-        top = v.bit_length()
-        if top > self.shift:
-            self.pivots[top] = v
-            self.rank += 1
-        return v
-
-    def is_zero(self, v):
-        return v.bit_length() <= self.shift
-
-    def pivot_rows(self):
-        return {top - 1 - self.shift for top in self.pivots}
-
-    def widen(self, ncoords):
-        """Make room for ``ncoords`` coordinates below stored columns."""
-        d = ncoords - self.shift
-        self.pivots = {top + d: v << d for top, v in self.pivots.items()}
-        self.shift = ncoords
-
-    def coords(self, v):
-        return unpack(v & ((1 << self.shift) - 1), GF2)
 
 
 class _DictReducer:
@@ -107,9 +50,6 @@ class _DictReducer:
 
     def pivot_rows(self):
         return set(self.pivots)
-
-    def widen(self, ncoords):
-        """Coordinate keys are negative rows: any number fits."""
 
     def coords(self, v):
         return {~r: self._value(x) for r, x in v.items() if r < 0}
@@ -136,10 +76,7 @@ class FpReducer(_DictReducer):
 
     def load(self, vec, key=None):
         p = self.p
-        v = {r: y for r, x in vec.items() if (y := x % p)}
-        if key is not None:
-            v[~key] = 1
-        return v
+        return self.take({r: y for r, x in vec.items() if (y := x % p)}, key)
 
     def reduce(self, v):
         p, pivots = self.p, self.pivots
@@ -226,11 +163,8 @@ class QReducer(_DictReducer):
         return Fraction(x)
 
 
-def reducer(field, ncoords=0):
-    """An empty echelon form over ``field``.  ``ncoords`` bounds the
-    coordinate keys that loaded columns may carry (needed by F2 only)."""
-    if field.char == 2:
-        return F2Reducer(ncoords)
+def reducer(field):
+    """An empty echelon form over ``field``."""
     if field.char:
         return FpReducer(field.p)
     return QReducer()
@@ -265,20 +199,3 @@ def matmul(a_columns, b_columns, field):
     """Compose: result column j = A applied to B's column j."""
     return [matvec(a_columns, col, field) for col in b_columns]
 
-
-def pack(vec):
-    v = 0
-    for r in vec:
-        v |= 1 << r
-    return v
-
-
-def unpack(v, field):
-    out = {}
-    r = 0
-    while v:
-        if v & 1:
-            out[r] = field.one
-        v >>= 1
-        r += 1
-    return out

@@ -54,7 +54,7 @@ def _block_solver(c: GradedChainComplex, h: BigradedHomology, p, q):
     solve is loaded with coordinate ``own``."""
     local = {g: k for k, g in enumerate(c.block_generators(p, q))}
     reps = h.representatives.get((p, q), ())
-    red = linalg.reducer(c.field, ncoords=len(reps) + 1)
+    red = linalg.reducer(c.field)
     for _, col in c.block_columns(p - 1, q):
         red.add(red.take(col))
     for k, z in enumerate(reps):

@@ -2,16 +2,15 @@
 
 ``kernel_basis`` and ``ColumnReducer`` wrap the package's field backends
 with the older call shapes: field-valued dict columns in, residuals and
-kernel vectors in field values out.  ``ColumnReducer2`` is the name the
-GF(2) backend used to have.
+kernel vectors in field values out.
 """
 
-from tanglekh.linalg import F2Reducer, FpReducer, QReducer, reducer
+from tanglekh.linalg import reducer
 
 
 def kernel_basis(columns, field):
     """Coefficient vectors (over column indices) spanning the kernel."""
-    red = reducer(field, ncoords=len(columns))
+    red = reducer(field)
     out = []
     for i, col in enumerate(columns):
         v = red.add(red.load(col, key=i))
@@ -27,8 +26,7 @@ class ColumnReducer:
     def __init__(self, field, track=False):
         self.field = field
         self.track = track
-        # dict backends: the number of coordinates is not known up front
-        self._red = FpReducer(field.p) if field.char else QReducer()
+        self._red = reducer(field)
         self.count = 0     # columns added (for coordinate indexing)
 
     @property
@@ -65,5 +63,3 @@ class ColumnReducer:
                 {j: f.mul(neg, x) for j, x in coords.items()}
                 if self.track else None)
 
-
-ColumnReducer2 = F2Reducer

@@ -21,9 +21,9 @@ import pytest
 
 from tanglekh import linalg
 from tanglekh.algebra import GF2, QQ, PrimeField
-from tanglekh.complex import build_complex
+from tanglekh.complex import ComplexError, build_complex
 from tanglekh.diagram import (ComponentRecord, Crossing, Resolution,
-                              TangleDiagram, apply_planar, resolve)
+                              TangleDiagram, apply_planar, resolve, validate)
 from tanglekh.persistence import (ClosureMorphismSpec, build_psi, cap_map,
                                   cup_map, saddle_map, saddle_target_diagram)
 
@@ -492,22 +492,24 @@ def saddle_sites(rng, count):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_saddle_maps_match_reference(field):
-    """Random sites include re-pairings outside the five local cases
-    (one circle to one circle), in the map or in the target's own cube;
-    both sides must refuse those.  The map must also equal the projection
+    """Random sites include re-pairings whose target is not planar:
+    ``build_complex`` refuses those up front, and they hold every target
+    the reference refuses (outside the five local cases, one circle to
+    one circle).  A map outside the five cases on planar ends must be
+    refused by both sides.  The map must also equal the projection
     out of the cone as a matrix (the cone inserts entries in its own
     order).  Merges send (+, -) and (-, +) to one target, so applying the
     map to random combinations must see terms cancel."""
     pick = random.Random(61)
-    matched = cancelled = 0
+    matched = cancelled = refused = 0
     for d, site in saddle_sites(random.Random(59), 24):
         d2 = saddle_target_diagram(d, site)
-        try:
-            rd = RefComplex(d2, field)
-        except ValueError:
-            with pytest.raises(ValueError):
+        if not validate(d2):
+            with pytest.raises(ComplexError, match="not planar"):
                 build_complex(d2, field=field)
+            refused += 1
             continue
+        rd = RefComplex(d2, field)
         cs, cd = build_complex(d, field=field), build_complex(d2, field=field)
         rs = RefComplex(d, field)
         try:
@@ -523,4 +525,4 @@ def test_saddle_maps_match_reference(field):
         assert columns == cone
         cancelled += applies_like(f, expected, pick)
         matched += 1
-    assert matched >= 8 and cancelled
+    assert matched >= 8 and cancelled and refused

@@ -10,8 +10,8 @@ import pytest
 from tanglekh import cli, linalg
 from tanglekh.algebra import QQ, field_from_name
 from tanglekh.cli import main
-from tanglekh.complex import build_complex, homology
-from tanglekh.diagram import Crossing, TangleDiagram
+from tanglekh.complex import ComplexError, build_complex, homology
+from tanglekh.diagram import Crossing, TangleDiagram, validate
 from tanglekh.ingest import CurveSet
 from tanglekh.invariants import betti_polynomial, jones_from_homology
 from tanglekh.persistence import Filtration, saddle_target_diagram
@@ -229,6 +229,47 @@ def test_compute_f2_malformed_closed_diagram_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: invalid diagram {path}: labels without a connection: "
         "('x', 1, 3), ('x', 2, 0)\n")
+
+
+def random_wiring(rng):
+    """One to four crossings and 0, 2 or 4 boundary endpoints, their
+    labels paired at random: planar or not."""
+    crossings = [Crossing(i, [("x", i, k) for k in range(4)],
+                          rng.choice((1, -1)))
+                 for i in range(rng.randint(1, 4))]
+    boundary = [("b", k) for k in range(rng.choice((0, 0, 2, 4)))]
+    labels = boundary + [x for c in crossings for x in c.ports]
+    rng.shuffle(labels)
+    return TangleDiagram(boundary=boundary, crossings=crossings,
+                         connections=list(zip(labels[::2], labels[1::2])),
+                         free_circles=rng.randint(0, 1))
+
+
+def test_compute_nonplanar_wiring_exit_2(tmp_path, capsys):
+    """A wiring that no disk holds exits 2, on the local path and on the
+    cube alike (both raise on most such wirings if they get to run).  A
+    planar one gives the same ranks on both."""
+    rng = random.Random(36)
+    refused = planar = 0
+    for _ in range(200):
+        d = random_wiring(rng)
+        path = diagram_file(tmp_path, d)
+        rank_only = main(["compute", path])
+        out = capsys.readouterr()
+        with_generators = main(["compute", path, "--generators"])
+        capsys.readouterr()
+        if validate(d):
+            assert rank_only == with_generators == 0
+            if not d.boundary:
+                assert json.loads(out.out) == full_cube_report(d)
+            planar += 1
+        else:
+            assert rank_only == with_generators == 2
+            assert "wiring is not planar" in out.err
+            with pytest.raises(ComplexError, match="not planar"):
+                build_complex(d)
+            refused += 1
+    assert refused >= 50 and planar >= 30
 
 
 def test_oracle_match(tmp_path, capsys):

@@ -1,12 +1,17 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from tanglekh.diagram import (Crossing, PlanarTangleSpec, TangleDiagram,
                               apply_planar, check_planar, resolve, validate)
+from tanglekh.ingest import CurveSet, Polyline, clip, project_and_detect
+from tanglekh.persistence import saddle_target_diagram
 
-from conftest import bare_arc, braid_closure, braid_tangle, kink_arc
+from conftest import (bare_arc, braid_closure, braid_tangle,
+                      closing_operator, flat_trefoil_points, kink_arc,
+                      random_braid_diagram, tangle_with_extra_arcs)
 from planar_reference import apply_planar as ref_apply_planar
 from planar_reference import check_planar as ref_check_planar
 
@@ -39,6 +44,56 @@ def test_validate_bad_crossing():
     d = TangleDiagram(crossings=[x], connections=[("p", "q"), ("r", "r")])
     rep = validate(d)
     assert not rep.ok
+
+
+def test_validate_rejects_nonplanar_wiring():
+    """Two chords that cross without a crossing, and a crossing whose
+    opposite ports are joined: no disk holds either."""
+    chords = TangleDiagram(boundary=("a", "b", "c", "d"),
+                           connections=[("a", "c"), ("b", "d")])
+    x = Crossing(id=0, ports=("p", "q", "r", "s"), sign=1)
+    opposite = TangleDiagram(crossings=[x],
+                             connections=[("p", "r"), ("q", "s")])
+    for d in (chords, opposite):
+        rep = validate(d)
+        assert not rep.ok
+        assert any("not planar" in p for p in rep.problems)
+    assert validate(TangleDiagram(boundary=("a", "b", "c", "d"),
+                                  connections=[("a", "d"), ("b", "c")]))
+    assert validate(TangleDiagram(crossings=[x],
+                                  connections=[("p", "q"), ("r", "s")]))
+
+
+def test_package_builders_make_planar_wirings(monkeypatch):
+    """What the tests' and the benchmark's builders make, the closing
+    operators' images, the benchmark's saddle target and ingest clips all
+    validate.  Braid tangles list their boundary the other way round from
+    ingest clips."""
+    monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "bench")
+    import workloads
+    rng = random.Random(1212)
+    out = [bare_arc(), kink_arc(1), kink_arc(-1)]
+    for _ in range(60):
+        d = random_tangle(rng)
+        out += [d, random_braid_diagram(rng, 6),
+                tangle_with_extra_arcs(rng, n_arcs=rng.randint(1, 3))]
+        op = closing_operator(d.boundary, len(d.boundary) - 2, rng)
+        out.append(apply_planar(op, d)[0])
+        word = [rng.choice((1, -1)) * rng.randint(1, 3)
+                for _ in range(rng.randint(1, 6))]
+        out += [TangleDiagram.from_json(workloads.braid_tangle(
+                    word, 4, extra_arcs=rng.randint(0, 2))),
+                TangleDiagram.from_json(workloads.braid_closure(word, 4))]
+    # the benchmark's saddle step, on its template word
+    link = workloads.braid_closure([1, 2, 1, 2, -1, 2, 1, 2, 1], 3)
+    site = workloads.oracles.hashable(list(workloads._saddle_site(link)))
+    out.append(saddle_target_diagram(TangleDiagram.from_json(link), site))
+    pa = project_and_detect(CurveSet(curves=[Polyline(
+        points=flat_trefoil_points(), closed=True)]))
+    out += [clip(pa, (0.21, 0.13), r).diagram for r in (1.0, 2.0, 3.5)]
+    for d in out:
+        rep = validate(d)
+        assert rep.ok, (d.to_json(), rep.problems)
 
 
 def test_crossing_counts():

@@ -48,8 +48,6 @@ def random_flip(d, rng):
 
 def backend(col, field):
     """A field-valued column in the format ``block_columns`` yields."""
-    if field.char == 2:
-        return linalg.pack(col)
     return {r: int(x) for r, x in col.items()}
 
 

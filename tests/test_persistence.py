@@ -236,7 +236,7 @@ def test_cap_requires_link():
 def saddle_cases():
     yield (TangleDiagram(boundary=("a", "b", "c", "d"),
                          connections=[("a", "b"), ("c", "d")]),
-           (("a", "b"), ("c", "d")))
+           (("a", "b"), ("d", "c")))
     d = braid_closure([1, 1], 2)
     yield d, (d.connections[0], d.connections[1])
     d = braid_closure([1, -1, 1], 2)
