@@ -118,18 +118,18 @@ def _field(name):
 def cmd_compute(args):
     d = _load_diagram(args.diagram)
     field = _field(args.field)
-    if d.boundary or args.generators:
+    if args.generators:
         try:
             c = build_complex(d, field=field)
         except ComplexError as e:
             raise SystemExit2(str(e))
-        h = homology(c, representatives=args.generators)
-    else:   # a closed diagram's ranks alone: no cube is built
+        h = homology(c)
+    else:   # ranks alone: no cube is built
         # imported where it is used: no other command compiles the module
-        from .local import closed_ranks
+        from .local import ranks
         h = BigradedHomology(field=field, n_plus=d.n_plus,
                              n_minus=d.n_minus,
-                             ranks=closed_ranks(d, field), representatives={})
+                             ranks=ranks(d, field), representatives={})
     report = h.to_json()
     report["betti"] = {str(p): betti_polynomial(h, p).to_json()
                       for p in h.degrees}

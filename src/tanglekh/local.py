@@ -1,16 +1,29 @@
-"""Khovanov ranks of a closed diagram by Bar-Natan's local algorithm.
+"""Khovanov ranks of a tangle diagram by Bar-Natan's local algorithm.
 
 Bar-Natan, "Fast Khovanov homology computations" (arXiv math/0606318),
 in the category of dotted cobordisms of arXiv math/0410495 with t = 0,
 which gives Khovanov's theory.  Crossings are added one at a time; after
 each one every closed loop is delooped and every isomorphism cancelled by
-Gaussian elimination, so the 2^n cube is never built.  Once the last
-crossing closes the boundary, the small complex left is one of vector
+Gaussian elimination, so the 2^n cube is never built.  The complex left
+after the last crossing lives over the diagram's own boundary points
+(none on a closed diagram), and functor G turns it into one of vector
 spaces, ranked per block by ``linalg``.
+
+G gives each crossingless matching one generator, w on every arc, and
+kills a dot on an arc and an arc-arc reconnection (``algebra.SADDLE``),
+as the cube does.  So G sends a normal-form morphism A -> B to its
+undotted coefficient when A = B, and to 0 otherwise: applying G to the
+final complex keeps exactly the undotted entries between equal matchings.
+Delooping is an isomorphism, Gaussian elimination a homotopy
+equivalence and G a functor, so G of the complex at any stage, the last
+one left uneliminated, has the ranks of G of the whole cube: the cube
+``complex.build_complex`` builds.  Each arc shifts q by -1 there, so q
+is shifted by -t for the t boundary arcs, portless ones included.
 
 A *point* is a connection of the diagram, numbered by its place in
 ``d.connections``.  Once some crossings are added, the boundary is the set
-of points with exactly one end at an added crossing.  An *object* is
+of points with exactly one end at an added crossing, together with the
+points wired to the disk boundary, which never close.  An *object* is
 (degree, matching, q): degree counts the 1-smoothings so far, matching is
 a crossingless matching of the boundary as a sorted tuple of sorted point
 pairs, and q is the quantum shift.  Hom(A, B) has the basis of Bar-Natan's
@@ -26,7 +39,8 @@ from collections import Counter
 from fractions import Fraction
 
 from . import linalg
-from .diagram import TangleDiagram
+from .complex import ComplexError
+from .diagram import TangleDiagram, validate
 
 # ACROSS[s][i] is the port at the other end of port i's arc in smoothing s,
 # as in ``diagram.walk``: s = 0 joins ports 0-3 and 1-2, s = 1 0-1 and 2-3.
@@ -127,7 +141,7 @@ def _order(ports, partner, owner):
         added.append(c)
         links[c] = -1
         for x in ports[c]:
-            j = owner[partner[x]]
+            j = owner.get(partner[x], c)   # the disk boundary adds no link
             if links[j] >= 0:
                 links[j] += 1
     return added
@@ -354,12 +368,13 @@ class _Complex:
                 del objs[v]
 
 
-def closed_ranks(d: TangleDiagram, field) -> dict:
-    """{(p, q): rank} of the Khovanov homology of the closed diagram ``d``
-    over ``field``, nonzero ranks only; the same ranks as
+def ranks(d: TangleDiagram, field) -> dict:
+    """{(p, q): rank} of the Khovanov homology of ``d`` over ``field``,
+    nonzero ranks only; the same ranks as
     ``homology(build_complex(d, field))``."""
-    if d.boundary:
-        raise ValueError("closed_ranks needs a diagram with empty boundary")
+    rep = validate(d)
+    if not rep.ok:
+        raise ComplexError("invalid diagram: " + "; ".join(rep.problems))
     _, rank, partner, ports = d.wiring()
     point = {}
     for k, (a, b) in enumerate(d.connections):
@@ -369,24 +384,27 @@ def closed_ranks(d: TangleDiagram, field) -> dict:
     done = set()
     for c in _order(ports, partner, owner):
         cx.eliminate()
-        role = tuple("kink" if owner[partner[x]] == c else
-                     "old" if owner[partner[x]] in done else "new"
+        role = tuple("kink" if owner.get(partner[x]) == c else
+                     "old" if owner.get(partner[x]) in done else "new"
                      for x in ports[c])
         done.add(c)
         cx.add_crossing(_Step(tuple(point[x] for x in ports[c]), role,
                               cx.n))
-    # The boundary has closed, so every entry is a scalar c as {0: c}:
+    # G keeps the undotted entries between equal matchings, as scalars
+    # (a dotted-only entry between them changes q, so it falls outside):
     # dim H = dim C - rk d^deg - rk d^(deg-1) per (degree, q) block.
+    objs, shift = cx.objs, d.n_plus - 2 * d.n_minus - len(d.boundary) // 2
     blocks = {}   # (degree, q) -> {object: its row in the block}
-    for o, (deg, _, q) in cx.objs.items():
+    for o, (deg, _, q) in objs.items():
         block = blocks.setdefault((deg, q), {})
         block[o] = len(block)
     ranks = Counter()
     for (deg, q), block in blocks.items():
         into = blocks.get((deg + 1, q), {})
-        rk = linalg.rank([{into[b]: m[0] for b, m in cx.out[o].items()}
+        rk = linalg.rank([{into[b]: m[0] for b, m in cx.out[o].items()
+                           if 0 in m and objs[b][1] == objs[o][1]}
                           for o in block], field)
-        p, k = deg - d.n_minus, q + d.n_plus - 2 * d.n_minus
+        p, k = deg - d.n_minus, q + shift
         ranks[p, k] += len(block) - rk
         ranks[p + 1, k] -= rk
     for _ in range(d.free_circles):   # V = q ⊕ q^-1 per free circle

@@ -18,6 +18,7 @@ from tanglekh.persistence import Filtration, saddle_target_diagram
 
 from conftest import braid_closure, braid_tangle, circle_polyline, kink_arc
 from cube_helpers import negate_edge
+from test_local import random_braid_tangle
 
 
 def write_json(path, payload):
@@ -155,7 +156,8 @@ def full_cube_report(d, field="f2"):
     report = h.to_json()
     report["betti"] = {str(p): betti_polynomial(h, p).to_json()
                        for p in h.degrees}
-    report["jones"] = jones_from_homology(h).to_json()
+    if not d.boundary:
+        report["jones"] = jones_from_homology(h).to_json()
     return json.loads(json.dumps(report))
 
 
@@ -179,8 +181,9 @@ def link_components(word, strands):
 
 
 def test_compute_f2_closed_matches_full_cube(tmp_path, capsys):
-    """A closed diagram's ranks come from ``local.closed_ranks``; the
-    report equals the one the whole cube gives, on seeded closures."""
+    """Rank-only ranks come from ``local.ranks``; the report equals the
+    one the whole cube gives, on seeded closures and on seeded braid
+    tangles with portless arcs and free circles."""
     rng = random.Random(1301)
     links = free = 0
     for _ in range(300):
@@ -195,6 +198,14 @@ def test_compute_f2_closed_matches_full_cube(tmp_path, capsys):
         assert compute_report(tmp_path, capsys, d) == full_cube_report(d), \
             d.to_json()
     assert links > 100 and free > 100
+    arcs = 0
+    for i in range(90):
+        d = random_braid_tangle(rng)
+        arcs += bool(d.portless_arcs())
+        field = ("f2", "fp:3", "q")[i % 3]
+        assert compute_report(tmp_path, capsys, d, "--field", field) == \
+            full_cube_report(d, field), d.to_json()
+    assert arcs > 40
 
 
 def test_compute_f2_closed_cut_open_cases(tmp_path, capsys):
@@ -260,8 +271,7 @@ def test_compute_nonplanar_wiring_exit_2(tmp_path, capsys):
         capsys.readouterr()
         if validate(d):
             assert rank_only == with_generators == 0
-            if not d.boundary:
-                assert json.loads(out.out) == full_cube_report(d)
+            assert json.loads(out.out) == full_cube_report(d)
             planar += 1
         else:
             assert rank_only == with_generators == 2
