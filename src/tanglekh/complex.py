@@ -27,6 +27,11 @@ class ComplexError(ValueError):
     pass
 
 
+# The largest cube ``build_complex`` lists: 16 crossings, where
+# ``compute --generators`` peaks near 600 MB (3-braid closure, F2 or Q).
+MAX_STATES = 1 << 16
+
+
 class Generator(NamedTuple):
     """A basis element: a state and one label per component."""
 
@@ -52,13 +57,14 @@ class GradedChainComplex:
     where ``layout[state] = (p, offset)`` and mask is a bitmask over the
     state's circles (see ``cube``).  States of one degree take consecutive
     index ranges in lexicographic state order, so the basis is ordered by
-    state, then by labeling with '+' before '-'.
+    state, then by labeling with '+' before '-'.  This index is the only
+    name of a generator: blocks, echelons and representatives all use it.
 
     The complex stores per-state data only: the circle and arc counts
     (r, t), the layout and the classified edges out of each state.  The
-    differential is computed on demand: ``block_columns`` yields the
-    columns of one block d^p_q in block-local rows, and ``differentials``
-    is a view of it in global indices."""
+    differential is computed on demand, one column at a time, by
+    ``_columns``: ``block_columns`` yields the columns of one block d^p_q,
+    and ``differentials`` is a view of all of d^p."""
 
     functor = "G"   # the only one; Khovanov's on a closed diagram
     diagram: TangleDiagram
@@ -133,84 +139,50 @@ class GradedChainComplex:
         return out
 
     def _block(self, p, q):
-        """(state, r, popcount, start) of every state with generators in
-        block (p, q), in basis order; start is the block-local index of
-        the state's first mask of that popcount."""
-        out = []
-        start = 0
+        """(state, r, popcount) of every state with generators in block
+        (p, q), in index order."""
         for _, state, q0, r in self._degree(p):
             k, odd = divmod(q0 - q, 2)
             if not odd and 0 <= k <= r:
-                out.append((state, r, k, start))
-                start += comb(r, k)
-        return out
+                yield state, r, k
 
     def block_generators(self, p, q):
-        """The global indices of block (p, q), in block-local order."""
+        """The indices of block (p, q), ascending."""
         return [self.layout[state][1] + m
-                for state, r, k, _ in self._block(p, q)
+                for state, r, k in self._block(p, q)
                 for m in _by_popcount(r)[k]]
 
-    def block_local(self, p, q):
-        """Global index -> block-local index (see ``block_columns``)."""
-        starts = {state: start for state, _, _, start in self._block(p, q)}
-
-        def local(i):
-            state, m = self.locate(p, i)
-            return starts[state] + _colex(self.rt[state][0])[m]
-        return local
-
     def block_columns(self, p, q, skip=()):
-        """The columns of the block d^p_q, computed on demand.
+        """The columns of the block d^p_q, built by ``_columns`` on demand:
+        yields ``(i, column)`` for each index i of block (p, q) not in
+        ``skip``, ascending, and never builds the skipped ones.  So the
+        columns of d^p_q come in the order of the rows of d^{p-1}_q, as
+        clearing needs."""
+        for state, r, k in self._block(p, q):
+            off = self.layout[state][1]
+            masks = [m for m in _by_popcount(r)[k] if off + m not in skip]
+            for m, col in zip(masks, self._columns(state, masks)):
+                yield off + m, col
 
-        Yields ``(k, column)`` for each block-local column index k not in
-        ``skip``, in order.  A column is a dict {row: int} over
-        block-local rows of (p+1, q), with entries 1 and -1 (mod p over
-        F_p, so all 1 over F2).  Columns in ``skip`` are never built.
-
-        A generator's block-local index is its state's start in the block
-        plus the rank of its mask among the masks of equal popcount in
-        ascending order, which is the mask's colex rank."""
-        rows = {state: start for state, _, _, start in self._block(p + 1, q)}
+    def _columns(self, state, masks):
+        """The column of d at each of the given masks of one state, one at
+        a time: a dict {row index: int} with entries 1 and -1 (mod p over
+        F_p, so all 1 over F2).  Entries are inserted edge by edge in
+        crossing order, then in the order of the local map's terms; an
+        edge whose local map is zero is skipped."""
         f = self.field
         pos, neg = 1, (f.p - 1 if f.char else -1)
-        for state, r, k, start in self._block(p, q):
-            edges = []
-            for target, negative, images, active, terms in self.edges[state]:
-                base = rows.get(target)
-                if base is not None:   # else no mask of this block reaches it
-                    edges.append((
-                        base, bystanders(images), active, terms,
-                        _colex(self.rt[target][0]),
-                        neg if negative else pos))
-            for j, m in enumerate(_by_popcount(r)[k], start):
-                if j in skip:
-                    continue
-                col = {}
-                for base, by, active, terms, rank, x in edges:
-                    for t in terms[m & active]:
-                        col[base + rank[by[m] | t]] = x
-                yield j, col
-
-    def _state_columns(self, state, masks=None):
-        """Columns of d over the given masks of one state (all of them by
-        default), in global rows and field values.  Entries are inserted
-        edge by edge in crossing order, then in the order of the local
-        map's terms."""
-        one = self.field.one
-        neg = self.field.neg(one)
-        if masks is None:
-            masks = range(1 << self.rt[state][0])
-        cols = [{} for _ in masks]
-        for target, negative, images, active, terms in self.edges[state]:
-            row_off = self.layout[target][1]
-            by = bystanders(images)
-            x = neg if negative else one
-            for col, m in zip(cols, masks):
-                b = row_off + by[m]   # b | t == b + t: the bits are disjoint
+        edges = [(self.layout[target][1], bystanders(images), active, terms,
+                  neg if negative else pos)
+                 for target, negative, images, active, terms
+                 in self.edges[state] if any(terms.values())]
+        for m in masks:
+            col = {}
+            for off, by, active, terms, x in edges:
+                b = off + by[m]   # b | t == b + t: the bits are disjoint
                 for t in terms[m & active]:
                     col[b + t] = x
-        return cols
+            yield col
 
     @property
     def differentials(self):
@@ -224,17 +196,6 @@ def _by_popcount(r):
     out = [[] for _ in range(r + 1)]
     for m in range(1 << r):
         out[bin(m).count("1")].append(m)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _colex(r):
-    """``out[m]`` = the position of m among the r-bit masks of its
-    popcount in ascending order."""
-    out = [0] * (1 << r)
-    for masks in _by_popcount(r):
-        for k, m in enumerate(masks):
-            out[m] = k
     return out
 
 
@@ -274,10 +235,10 @@ class _DegreeColumns(_DegreeView):
     """The columns of d^p as dicts, equal to a list of the same dicts."""
 
     def _at(self, state, mask):
-        return self._c._state_columns(state, (mask,))[0]
+        return next(self._c._columns(state, (mask,)))
 
     def _over(self, state):
-        return self._c._state_columns(state)
+        return self._c._columns(state, range(1 << self._c.rt[state][0]))
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -314,6 +275,10 @@ def build_complex(d: TangleDiagram, field=GF2) -> GradedChainComplex:
     rep = validate(d)
     if not rep.ok:
         raise ComplexError("invalid diagram: " + "; ".join(rep.problems))
+    if 1 << d.n > MAX_STATES:
+        raise ComplexError(
+            f"the cube of {d.n} crossings has 2^{d.n} = {1 << d.n:,} "
+            f"states, above the limit of {MAX_STATES:,}")
 
     ports = d.wiring()[3]
     n, t, n_minus = d.n, len(d.boundary) // 2, d.n_minus
@@ -357,21 +322,20 @@ def verify_d_squared(c: GradedChainComplex):
     """Check d(p+1) . d(p) = 0 block by block: each column of d^p_q is
     composed with the columns of d^{p+1}_q it meets, in integers reduced
     mod the characteristic.  Returns (ok, first violating (p, column)),
-    the column as a global index and the first one in index order."""
+    the first such column in index order."""
     mod = c.field.char
     for p in c.degrees:
         if p + 1 not in c.dims:
             continue
         bad = None
         for q in c.block_sizes(p):
-            nxt = [col for _, col in c.block_columns(p + 1, q)]
-            for k, col in c.block_columns(p, q):
+            nxt = dict(c.block_columns(p + 1, q))
+            for i, col in c.block_columns(p, q):
                 acc = {}
                 for j, x in col.items():
                     for r, y in nxt[j].items():
                         acc[r] = acc.get(r, 0) + x * y
                 if any(v % mod if mod else v for v in acc.values()):
-                    i = c.block_generators(p, q)[k]
                     bad = i if bad is None else min(bad, i)
                     break
         if bad is not None:
@@ -401,8 +365,9 @@ class BigradedHomology:
     complex: GradedChainComplex = dc_field(repr=False, default=None)
     # (p, q) -> the echelon of im d^{p-1}_q, where H^{p,q} != 0
     echelons: dict = dc_field(repr=False, compare=False, default_factory=dict)
-    _local: dict = dc_field(init=False, repr=False, compare=False,
-                            default_factory=dict)
+    # the (p, q) whose echelon ``classes`` has added the representatives to
+    _joined: set = dc_field(init=False, repr=False, compare=False,
+                            default_factory=set)
 
     def rank(self, p, q):
         return self.ranks.get((p, q), 0)
@@ -428,12 +393,11 @@ class BigradedHomology:
         if (p, q) not in self.echelons:
             raise ValueError("homology was computed without representatives")
         red, own = self.echelons[(p, q)], len(self.representatives[(p, q)])
-        local = self._local.get((p, q))
-        if local is None:
-            local = self._local[(p, q)] = self.complex.block_local(p, q)
+        if (p, q) not in self._joined:
+            self._joined.add((p, q))
             for k, rep in enumerate(self.representatives[(p, q)]):
-                red.add(red.load({local(i): x for i, x in rep.items()}, k))
-        v = red.reduce(red.load({local(i): x for i, x in z.items()}, own))
+                red.add(red.load(rep, k))
+        v = red.reduce(red.load(z, own))
         if not red.is_zero(v):
             raise ValueError(f"not a cocycle at (p, q) = ({p}, {q})")
         coords, f = red.coords(v), self.field
@@ -477,16 +441,16 @@ def homology(c: GradedChainComplex, representatives=True) -> BigradedHomology:
                 continue   # what is carried, the map into this block, is 0
             red = linalg.reducer(f)
             live = []
-            for k, col in c.block_columns(p, q, skip):
-                red.add(red.take(col))
+            for i, col in c.block_columns(p, q, skip):
                 if representatives:
-                    live.append((k, col))
+                    live.append((i, col))
+                    col = dict(col)   # the reducer consumes what it adds
+                red.add(col)
             h = sizes[p][q] - len(skip) - red.rank
             if h:
                 ranks[(p, q)] = h
                 if representatives:
-                    reps[(p, q)] = _cocycles(
-                        f, c.block_generators(p, q), live)
+                    reps[(p, q)] = _cocycles(f, live)
                     echelons[(p, q)] = image or linalg.reducer(f)
             skip, image = red.pivot_rows(), red if representatives else None
 
@@ -498,13 +462,13 @@ def homology(c: GradedChainComplex, representatives=True) -> BigradedHomology:
         complex=c, echelons=echelons)
 
 
-def _cocycles(f, gens, live):
+def _cocycles(f, live):
     """Tracked elimination of one block: the uncleared columns that
-    reduce to zero, as chain vectors over the global indices ``gens``."""
+    reduce to zero, as chain vectors {index: coefficient}."""
     red = linalg.reducer(f)
     out = []
-    for k, col in live:
-        v = red.add(red.take(col, key=k))
+    for i, col in live:
+        v = red.add(red.take(col, key=i))
         if red.is_zero(v):
-            out.append({gens[j]: x for j, x in red.coords(v).items()})
+            out.append(red.coords(v))
     return out

@@ -17,11 +17,14 @@ the real ones.  After any reduction the real part of a column equals the
 sum, over its coordinates, of coordinate times loaded column, modulo the
 columns loaded without a key.
 
-``load`` turns a field-valued dict into backend format, and ``take``
-accepts a column already in it (entries reduced mod p, or integral over
-Q), such as the columns that ``GradedChainComplex.block_columns``
-streams; both add the coordinate ``key`` if given.  ``coords`` turns the
-coordinate part back into field values.
+Rows are the generator indices of ``complex``, the one numbering used
+from the differential to the echelons and representatives.  ``load``
+turns a field-valued dict into backend format, and ``take`` accepts a
+column already in it (int entries reduced mod p, or integral over Q),
+such as the columns that ``GradedChainComplex.block_columns`` streams;
+both add the coordinate ``key`` if given.  A reducer reduces and keeps
+the very dicts it is given, so a caller that still needs a column passes
+a copy.  ``coords`` turns the coordinate part back into field values.
 """
 
 from __future__ import annotations
@@ -40,10 +43,11 @@ class _DictReducer:
         self.rank = 0
 
     def take(self, col, key=None):
-        v = dict(col)
+        """``col`` itself, with coordinate ``key`` if given: the reducer
+        owns what it is given, and reduces it in place."""
         if key is not None:
-            v[~key] = 1
-        return v
+            col[~key] = 1
+        return col
 
     def is_zero(self, v):
         return not v or max(v) < 0
@@ -54,14 +58,18 @@ class _DictReducer:
     def coords(self, v):
         return {~r: self._value(x) for r, x in v.items() if r < 0}
 
+    def reduce(self, v):
+        """``v``, reduced in place by the backend's ``_reduce``, which
+        returns the top row left, negative when no real row is left."""
+        self._reduce(v)
+        return v
+
     def add(self, v):
-        v = self.reduce(v)
-        if v:
-            top = max(v)
-            if top >= 0:
-                v = self._normalize(v, top)
-                self.pivots[top] = v
-                self.rank += 1
+        top = self._reduce(v)
+        if top >= 0:
+            v = self._normalize(v, top)
+            self.pivots[top] = v
+            self.rank += 1
         return v
 
 
@@ -78,13 +86,13 @@ class FpReducer(_DictReducer):
         p = self.p
         return self.take({r: y for r, x in vec.items() if (y := x % p)}, key)
 
-    def reduce(self, v):
+    def _reduce(self, v):
         p, pivots = self.p, self.pivots
         while v:
             top = max(v)
             col = pivots.get(top)
             if col is None:
-                return v
+                return top
             b = v[top]
             for r, x in col.items():
                 y = (v.get(r, 0) - b * x) % p
@@ -92,7 +100,7 @@ class FpReducer(_DictReducer):
                     v[r] = y
                 else:
                     del v[r]
-        return v
+        return -1
 
     def _normalize(self, v, top):
         inv = pow(v[top], -1, self.p)
@@ -122,13 +130,13 @@ class QReducer(_DictReducer):
             v[~key] = den
         return v
 
-    def reduce(self, v):
+    def _reduce(self, v):
         pivots = self.pivots
         while v:
             top = max(v)
             col = pivots.get(top)
             if col is None:
-                return v
+                return top
             a, b = col[top], v[top]
             scaled = False
             if a != 1:
@@ -149,7 +157,7 @@ class QReducer(_DictReducer):
                 if g != 1:
                     for r in v:
                         v[r] //= g
-        return v
+        return -1
 
     @staticmethod
     def _normalize(v, top):

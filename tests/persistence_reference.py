@@ -1,7 +1,9 @@
 """The induced maps on homology as ``persistence`` solved them before
 ``BigradedHomology.classes``: each target block's echelon of im d^{p-1}
 is rebuilt from ``block_columns``, without clearing, together with the
-target representatives.  Tests compare the library against it."""
+target representatives, all in the complex's generator indices (the one
+numbering ``classes`` also uses).  Tests compare the library against
+it."""
 
 from tanglekh import linalg
 from tanglekh.complex import BigradedHomology, GradedChainComplex
@@ -30,9 +32,9 @@ def induced_on_homology(f: ChainMap, h_src: BigradedHomology,
                 t = q + f.q_shift
                 if t not in solvers:
                     solvers[t] = _block_solver(f.dst, h_dst, p, t)
-                red, local, own = solvers[t]
-                v = red.reduce(red.load({local[i]: x for i, x in fz.items()},
-                                        key=own))
+                red, block, own = solvers[t]
+                assert fz.keys() <= block, "image outside its target block"
+                v = red.reduce(red.load(fz, key=own))
                 if not red.is_zero(v):
                     raise MorphismError(
                         f"image of a cocycle is not a cocycle at p={p}")
@@ -47,16 +49,15 @@ def induced_on_homology(f: ChainMap, h_src: BigradedHomology,
 
 
 def _block_solver(c: GradedChainComplex, h: BigradedHomology, p, q):
-    """Echelon form of im d^{p-1} plus the representatives of H^{p,q},
-    in indices local to the (p, q) block of ``c``, whose columns of
-    d^{p-1}_q come from ``c.block_columns``.  Returns (reducer, local
-    index, own): representative k carries coordinate k, and a column to
-    solve is loaded with coordinate ``own``."""
-    local = {g: k for k, g in enumerate(c.block_generators(p, q))}
+    """Echelon form of im d^{p-1} plus the representatives of H^{p,q} in
+    the (p, q) block of ``c``, whose columns of d^{p-1}_q come from
+    ``c.block_columns``.  Returns (reducer, the block's indices, own):
+    representative k carries coordinate k, and a column to solve is
+    loaded with coordinate ``own``."""
     reps = h.representatives.get((p, q), ())
     red = linalg.reducer(c.field)
     for _, col in c.block_columns(p - 1, q):
         red.add(red.take(col))
     for k, z in enumerate(reps):
-        red.add(red.load({local[i]: x for i, x in z.items()}, key=k))
-    return red, local, len(reps)
+        red.add(red.load(z, key=k))
+    return red, set(c.block_generators(p, q)), len(reps)

@@ -3,11 +3,14 @@
 ``StoredComplex`` is the builder the package used before the differential
 became a view: it resolves and classifies like ``build_complex`` and then
 lets each cube edge's saddle fill the columns of all 2^r source masks as
-dicts, so the whole differential is held at once.  ``stored_homology`` is
-the rank-only reduce that ran on those columns, remapping every column of
-a block into block-local rows, and ``stored_d_squared`` the d^2 check
-that multiplied dict columns.  ``GradedChainComplex.block_columns`` and
-its views must agree with these exactly.
+dicts, so the whole differential is held at once, in field values.
+``stored_homology`` is the rank-only reduce that ran on those columns,
+remapping every column of a block into block-local rows, and
+``stored_d_squared`` the d^2 check that multiplied dict columns.  The
+package now names a generator by its global index alone: the columns of
+``GradedChainComplex.block_columns`` are the stored ones restricted to a
+block, in the same rows with int entries, and its views, ranks and d^2
+verdicts must agree with these exactly.
 
 ``StateTable``, ``classify`` and ``saddle_parts`` are the classifier the
 package used before it moved to rank space: it reads the component

@@ -1,12 +1,17 @@
 import csv
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+import time
 
 from fractions import Fraction
 
 import pytest
 
+import tanglekh
 from tanglekh import cli, linalg
 from tanglekh.algebra import QQ, field_from_name
 from tanglekh.cli import main
@@ -280,6 +285,41 @@ def test_compute_nonplanar_wiring_exit_2(tmp_path, capsys):
                 build_complex(d)
             refused += 1
     assert refused >= 50 and planar >= 30
+
+
+def run_capped(argv):
+    """``tanglekh argv`` in a child process limited to 1 GB of address
+    space; returns the finished process and its wall time in seconds."""
+    src = os.path.dirname(os.path.dirname(tanglekh.__file__))
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from tanglekh.cli import main; sys.exit(main(sys.argv[1:]))")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done, time.perf_counter() - start
+
+
+def test_cube_too_large_exit_2(tmp_path):
+    """The closure of sigma_1^30 on 2 strands has a cube of 2^30 states.
+    The commands that build the cube exit 2 within 2 s, naming its size;
+    rank-only ``compute`` builds none and answers.  Each runs in a child
+    under an address-space limit, so a cube listed anyway ends in a
+    MemoryError instead of taking the machine's memory."""
+    d = braid_closure([1] * 30, 2)
+    path = diagram_file(tmp_path, d)
+    filt = write_json(tmp_path / "f.json",
+                      {"grades": [0], "diagrams": [d.to_json()]})
+    for argv in (["compute", path, "--generators"], ["oracle", path],
+                 ["persist", filt]):
+        done, seconds = run_capped(argv)
+        assert done.returncode == 2, (argv, done.stderr)
+        assert "2^30 = 1,073,741,824 states" in done.stderr
+        assert seconds < 2, (argv, seconds)
+    done, _ = run_capped(["compute", path])
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ranks"]
 
 
 def test_oracle_match(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Induced maps on homology: ``BigradedHomology.classes`` and the
 ``induced_on_homology`` built on it, against the solver kept in
 ``persistence_reference.py``, which rebuilds each target block's image
-from ``block_columns``."""
+from ``block_columns``.  Both solve in the complex's generator indices,
+the rows of ``block_columns`` and the keys of representatives."""
 
 import json
 import random

@@ -1,8 +1,8 @@
 """The streamed block kernel and its views against the stored-column
 reference in ``stored_complex``: the same columns (insertion order
-included), the same block-local columns and clearing, the same d^2
-verdict and witness and the same ranks, over F2, F3 and Q, with and
-without a flipped edge sign.  The peak memory of build plus reduce must
+included), the same block columns and clearing in the one global
+numbering, the same d^2 verdict and witness and the same ranks, over F2,
+F3 and Q, with and without a flipped edge sign.  The peak memory of build plus reduce must
 stay at most half that of the stored reference."""
 
 import random
@@ -61,17 +61,14 @@ def assert_matches_stored(c, ref, rng):
             assert list(a.items()) == list(b.items()), (p, i)
             assert list(c.differentials[p][i].items()) == \
                 list(b.items()), (p, i)
-        blocks, nxt = ref.q_blocks(p), ref.q_blocks(p + 1)
+        blocks = ref.q_blocks(p)
         assert list(c.block_sizes(p).items()) == \
             [(q, len(g)) for q, g in blocks.items()]
         for q, gens in blocks.items():
             assert c.block_generators(p, q) == gens
-            rows = {g: k for k, g in enumerate(nxt.get(q, ()))}
-            expect = [backend({rows[j]: x for j, x in cols[i].items()}, f)
-                      for i in gens]
-            skip = {k for k in range(len(gens)) if rng.random() < 0.3}
+            skip = {i for i in gens if rng.random() < 0.3}
             assert list(c.block_columns(p, q, skip)) == \
-                [(k, v) for k, v in enumerate(expect) if k not in skip]
+                [(i, backend(cols[i], f)) for i in gens if i not in skip]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
