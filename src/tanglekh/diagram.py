@@ -153,6 +153,12 @@ class TangleDiagram:
             self._wiring = (nodes, rank, partner, ports)
         return self._wiring
 
+    def with_circles(self, k):
+        """This diagram with k crossing-free circles instead of its own."""
+        if k == self.free_circles:
+            return self
+        return TangleDiagram(self.boundary, self.crossings, self.connections, k)
+
     def portless_arcs(self):
         """Connection pairs joining two boundary endpoints directly, in
         canonical order.  These are state-independent arc components."""

@@ -6,7 +6,9 @@ that close up send w to v-, and every brand-new circle is filled with v+.
 Cap, cup, and saddle generator maps are provided for the link case.
 Every such map sends the generators over a state to those over the same
 state of the target, so it is stored as one ``cube.saddle``-style record
-per state and applied on demand, as the differential is.
+per state, read off the complexes' component arrays, and applied on
+demand, as the differential is.  ``Filtration.runs`` builds and reduces
+each distinct core once and gives each grade a view of it (``complex``).
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import GF2, LaurentPolynomial
-from .complex import BigradedHomology, GradedChainComplex, build_complex
+from .complex import (BigradedHomology, GradedChainComplex, build_complex,
+                      check_cube)
 from .cube import bystanders, circle_bit, saddle
-from .diagram import TangleDiagram, apply_planar, walk
+from .diagram import TangleDiagram, apply_planar
 from .invariants import betti_polynomial
 
 
@@ -165,9 +168,8 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
     q_shift = None
 
     for state in src.layout:
-        comp_s, _, r_s = walk(ds, state)
-        comp_t, _, r_t = walk(dt, state)
-        (_, t_s), (_, t_t) = src.rt[state], dst.rt[state]
+        comp_s, comp_t = src.comps[state], dst.comps[state]
+        (r_s, t_s), (r_t, t_t) = src.rt[state], dst.rt[state]
         free_s = t_s + r_s - ds.free_circles   # index of the first free circle
         free_t = t_t + r_t - dt.free_circles
 
@@ -247,9 +249,7 @@ def cap_map(c: GradedChainComplex, dst=None):
     ``dst`` is that complex, when the caller has already built it."""
     if c.diagram.boundary:
         raise MorphismError("cap map is defined in link mode only")
-    d2 = TangleDiagram(boundary=(), crossings=c.diagram.crossings,
-                       connections=c.diagram.connections,
-                       free_circles=c.diagram.free_circles + 1)
+    d2 = c.diagram.with_circles(c.diagram.free_circles + 1)
     dst = _target(c, d2, dst, "cap")
     # the new circle comes last: the lowest bit, labelled v+
     parts = {state: (tuple(2 << k for k in range(r)), 0, {0: (0,)})
@@ -267,11 +267,7 @@ def cup_map(c: GradedChainComplex, circle_index=-1, dst=None):
     if not -free <= circle_index < free:
         raise MorphismError(f"free circle index {circle_index} out of range")
     circle_index %= free
-    d2 = TangleDiagram(boundary=c.diagram.boundary,
-                       crossings=c.diagram.crossings,
-                       connections=c.diagram.connections,
-                       free_circles=free - 1)
-    dst = _target(c, d2, dst, "cup")
+    dst = _target(c, c.diagram.with_circles(free - 1), dst, "cup")
     # free circles are the lowest bits, the first one highest among them
     b = free - 1 - circle_index
     parts = {state: (tuple([1 << k for k in range(b)] + [0]
@@ -313,11 +309,9 @@ def saddle_map(src: GradedChainComplex, dst: GradedChainComplex,
     rank = src.diagram.wiring()[1]
     ports = tuple(rank[x] for x in (a, cc, dd, b))
     t = len(src.diagram.boundary) // 2
-    parts = {}
-    for state in src.layout:
-        comp_s, _, r_s = walk(src.diagram, state)
-        comp_t, _, r_t = walk(dst.diagram, state)
-        parts[state] = saddle((comp_s, r_s), (comp_t, r_t), t, ports)[1:]
+    parts = {state: saddle((src.comps[state], src.rt[state][0]),
+                           (dst.comps[state], dst.rt[state][0]), t, ports)[1:]
+             for state in src.layout}
     return ChainMap(src=src, dst=dst, parts=parts, q_shift=-1)
 
 
@@ -539,12 +533,20 @@ class Filtration:
         # looked up per call: the benchmark tracer (bench/spans.py) wraps
         # complex.homology in place, and a module-level name would miss it
         from .complex import homology
-        # a grade whose diagram equals an earlier one reuses its results
+        # every diagram is checked before any cube is built; each distinct
+        # core is built and reduced once, and each other grade gets a view
+        for d in dict.fromkeys(self.diagrams):
+            check_cube(d)
         built = {}
         for d in self.diagrams:
+            core = d.with_circles(0)
+            if core not in built:
+                c = build_complex(core, field=self.field)
+                built[core] = (c, homology(c))
             if d not in built:
-                c = build_complex(d, field=self.field)
-                built[d] = (c, homology(c))
+                c, h = built[core]
+                view = c.with_circles(d)
+                built[d] = (view, h.tensor(view))
         complexes = [built[d][0] for d in self.diagrams]
         homologies = [built[d][1] for d in self.diagrams]
         runs = []

@@ -322,6 +322,33 @@ def test_cube_too_large_exit_2(tmp_path):
     assert json.loads(done.stdout)["ranks"]
 
 
+def test_filtration_checks_every_grade_before_building_any(tmp_path, capsys,
+                                                         monkeypatch):
+    """A 13-crossing grade, a break, then a 17-crossing grade: ``runs``
+    refuses the filtration before building the first grade's cube, and
+    ``persist`` exits 2 naming the second grade's 2^17 states."""
+    import tanglekh.persistence as ps
+    calls = []
+
+    def counting(d, **kwargs):
+        calls.append(d)
+        return build_complex(d, **kwargs)
+
+    monkeypatch.setattr(ps, "build_complex", counting)
+    word = [1, 1, 1, 2, 2, 2] * 3
+    ds = [braid_closure(word[:n], 3) for n in (13, 17)]
+    filt = Filtration(grades=[0, 1], diagrams=ds, steps=[{"kind": "break"}])
+    with pytest.raises(ComplexError, match=r"2\^17 = 131,072 states"):
+        filt.runs()
+    assert calls == []
+    path = write_json(tmp_path / "f.json",
+                      {"grades": [0, 1], "diagrams": [d.to_json() for d in ds],
+                       "steps": [{"kind": "break"}]})
+    assert main(["persist", path]) == 2
+    assert "2^17 = 131,072 states" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_oracle_match(tmp_path, capsys):
     for d in (kink_arc(-1), braid_closure([1], 2)):
         path = diagram_file(tmp_path, d)

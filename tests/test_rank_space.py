@@ -1,9 +1,10 @@
 """The rank-space pass of ``build_complex`` against the Resolution-based
-reference: per state, the component array of ``diagram.walk``, (r, t) and
-the classified ``Edge`` tuples must equal what ``diagram.resolve`` plus the
-old classifier in ``stored_complex`` give, on braid closures and tangles
-with portless arcs, free circles and kinks, on the targets of random
-saddle sites, and with a flipped edge sign.  Non-planar targets must be
+reference: per state, the component array of ``diagram.walk`` (also as
+kept in ``comps``), (r, t) and the classified ``Edge`` tuples, which act on
+the masks of the diagram without its free circles, must equal what
+``diagram.resolve`` plus the old classifier in ``stored_complex`` give,
+on braid closures and tangles with portless arcs, free circles and kinks,
+on the targets of random saddle sites, and with a flipped edge sign.  Non-planar targets must be
 refused by ``build_complex``."""
 
 import itertools
@@ -85,11 +86,13 @@ def test_components_and_edges_match_reference():
                 refused += 1
                 continue
             # a planar wiring stays within the five local cases
-            tables, edges = reference(d, flip)
+            tables = reference(d, flip)[0]
+            # edges act on the core's masks: free circles are bystanders
+            edges = reference(d.with_circles(0), flip)[1]
             c = negate_edge(build_complex(d), flip)
             for state, table in tables.items():
                 comp, order, r = walk(d, state)
-                assert comp == table.comp
+                assert comp == table.comp == list(c.comps[state])
                 assert sorted(order) == list(range(len(comp)))
                 assert c.rt[state] == (table.res.r, table.res.t) == \
                     (r, len(d.boundary) // 2)
