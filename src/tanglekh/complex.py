@@ -285,12 +285,13 @@ class _Index(Mapping):
         return self._c.total_dim()
 
 
-def check_cube(d: TangleDiagram):
-    """ComplexError unless ``d`` is valid, with at most MAX_STATES states."""
+def check_cube(d: TangleDiagram, states=True):
+    """ComplexError unless ``d`` is valid, with at most MAX_STATES states
+    when ``states``."""
     rep = validate(d)
     if not rep.ok:
         raise ComplexError("invalid diagram: " + "; ".join(rep.problems))
-    if 1 << d.n > MAX_STATES:
+    if states and 1 << d.n > MAX_STATES:
         raise ComplexError(
             f"the cube of {d.n} crossings has 2^{d.n} = {1 << d.n:,} "
             f"states, above the limit of {MAX_STATES:,}")

@@ -99,7 +99,7 @@ class TangleDiagram:
                 self._key[p] = (1, ci, pi)
         self.connections = self._normalize_connections(connections)
         self._port_set = {p for c in self.crossings for p in c.ports}
-        self._wiring = None
+        self._wiring = self._report = None
 
     def _normalize_connections(self, connections):
         pairs = []
@@ -214,7 +214,14 @@ class TangleDiagram:
 
 
 def validate(d: TangleDiagram) -> ValidationReport:
-    """Check the structural invariants; returns a report, never raises."""
+    """Check the structural invariants; returns a report, never raises.
+    The report is computed once per diagram, as ``wiring`` is."""
+    if d._report is None:
+        d._report = _validate(d)
+    return d._report
+
+
+def _validate(d):
     problems = []
     if len(d.boundary) % 2 != 0:
         problems.append("boundary has odd length")

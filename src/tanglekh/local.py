@@ -39,8 +39,8 @@ from collections import Counter
 from fractions import Fraction
 
 from . import linalg
-from .complex import ComplexError
-from .diagram import TangleDiagram, validate
+from .complex import check_cube
+from .diagram import TangleDiagram
 
 # ACROSS[s][i] is the port at the other end of port i's arc in smoothing s,
 # as in ``diagram.walk``: s = 0 joins ports 0-3 and 1-2, s = 1 0-1 and 2-3.
@@ -372,9 +372,7 @@ def ranks(d: TangleDiagram, field) -> dict:
     """{(p, q): rank} of the Khovanov homology of ``d`` over ``field``,
     nonzero ranks only; the same ranks as
     ``homology(build_complex(d, field))``."""
-    rep = validate(d)
-    if not rep.ok:
-        raise ComplexError("invalid diagram: " + "; ".join(rep.problems))
+    check_cube(d, states=False)
     _, rank, partner, ports = d.wiring()
     point = {}
     for k, (a, b) in enumerate(d.connections):

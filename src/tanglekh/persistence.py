@@ -7,20 +7,27 @@ Cap, cup, and saddle generator maps are provided for the link case.
 Every such map sends the generators over a state to those over the same
 state of the target, so it is stored as one ``cube.saddle``-style record
 per state, read off the complexes' component arrays, and applied on
-demand, as the differential is.  ``Filtration.runs`` builds and reduces
-each distinct core once and gives each grade a view of it (``complex``).
+demand, as the differential is.
+
+``Filtration.runs`` ranks two kinds of run by ``local.ranks``, with no
+cube: runs of identity, cap, cup and closure steps that leave D° (the
+diagram without its portless arcs and free circles) in place, and runs of
+two grades joined by one saddle.  Every other run goes to the cube, which
+builds and reduces each distinct core once, with representatives only
+where a chain map reads them, and gives each grade a view of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import linalg
 from .algebra import GF2, LaurentPolynomial
 from .complex import (BigradedHomology, GradedChainComplex, build_complex,
                       check_cube)
 from .cube import bystanders, circle_bit, saddle
-from .diagram import TangleDiagram, apply_planar
+from .diagram import Crossing, TangleDiagram, apply_planar, validate
 from .invariants import betti_polynomial
 
 
@@ -277,22 +284,36 @@ def cup_map(c: GradedChainComplex, circle_index=-1, dst=None):
     return ChainMap(src=c, dst=dst, parts=parts, q_shift=1)
 
 
-def saddle_target_diagram(d: TangleDiagram, site):
-    """The diagram after re-pairing the four strand nodes of ``site``.
-
-    ``site`` is ``((a, b), (c, d))``: the connections (a,b) and (c,d) are
-    replaced by (a,c) and (b,d).
-    """
+def saddle_cone(d: TangleDiagram, site):
+    """(D̃, D1) for ``site`` ((a, b), (c, d)): D1 is ``d`` with (a,c) and
+    (b,d) in place of the connections (a,b) and (c,d), and D̃ is ``d``
+    with a crossing put at the site, its ports wired to (a, c, d, b) or,
+    mirrored, to (b, d, c, a), whichever lies in the plane.  Either way
+    its 0-smoothing is ``d`` and its 1-smoothing D1.  MorphismError when
+    neither does: then no crossing fits the site, and the re-pairing is
+    not a local saddle."""
     (a, b), (cc, dd) = site
-    pairs = {frozenset(p) for p in d.connections}
-    for pair in ((a, b), (cc, dd)):
-        if frozenset(pair) not in pairs:
+    cut = {frozenset(pair) for pair in site}
+    for pair in site:
+        if frozenset(pair) not in set(map(frozenset, d.connections)):
             raise MorphismError(f"site pair {pair} is not a connection")
-    pairs -= {frozenset((a, b)), frozenset((cc, dd))}
-    pairs |= {frozenset((a, cc)), frozenset((b, dd))}
-    return TangleDiagram(boundary=d.boundary, crossings=d.crossings,
-                         connections=[tuple(p) for p in pairs],
-                         free_circles=d.free_circles)
+    rest = [p for p in d.connections if frozenset(p) not in cut]
+    k = max((c.id for c in d.crossings), default=-1) + 1
+    x = Crossing(id=k, ports=tuple(("cone", k, j) for j in range(4)), sign=1)
+    for ends in ((a, cc, dd, b), (b, dd, cc, a)):
+        tilde = TangleDiagram(d.boundary, d.crossings + (x,),
+                              rest + list(zip(ends, x.ports)), d.free_circles)
+        if validate(tilde):
+            return tilde, TangleDiagram(d.boundary, d.crossings, rest + [
+                (a, cc), (b, dd)], d.free_circles)
+    raise MorphismError(f"no crossing fits the site {site} in the plane: "
+                        "the re-pairing is not a local saddle")
+
+
+def saddle_target_diagram(d: TangleDiagram, site):
+    """The diagram after re-pairing the four strand nodes of ``site``,
+    D1 of ``saddle_cone``: a site where no crossing fits is refused."""
+    return saddle_cone(d, site)[1]
 
 
 def saddle_map(src: GradedChainComplex, dst: GradedChainComplex,
@@ -320,13 +341,8 @@ def saddle_map(src: GradedChainComplex, dst: GradedChainComplex,
 
 def rep_order(h: BigradedHomology, p):
     """Deterministic ordering of homology representatives at degree p."""
-    out = []
-    for (pp, q) in sorted(h.ranks):
-        if pp != p:
-            continue
-        for j in range(h.ranks[(pp, q)]):
-            out.append((q, j))
-    return out
+    return [(q, j) for (pp, q), r in sorted(h.ranks.items()) if pp == p
+            for j in range(r)]
 
 
 def induced_on_homology(f: ChainMap, h_src: BigradedHomology,
@@ -395,58 +411,54 @@ def barcode_from_ranks(rt: RankTable):
 
 
 class FiltrationRun:
-    """A maximal stretch of a filtration with composable chain maps."""
+    """A maximal stretch of a filtration with composable chain maps.
 
-    def __init__(self, grades, complexes, chain_maps, homologies):
+    A run answered without its cube (``_local_run``) has none: there
+    ``image(a, b, p)`` gives ``persistent_betti`` for a < b."""
+
+    def __init__(self, grades, complexes, chain_maps, homologies,
+                 q_shifts=None, image=None):
         self.grades = list(grades)
         self.complexes = list(complexes)
         self.chain_maps = list(chain_maps)
         self.homologies = list(homologies)
-        self._induced = {}
+        self.q_shifts = [f.q_shift for f in self.chain_maps] \
+            if q_shifts is None else q_shifts
+        self._image = image or self._composite_image
+        self._induced, self._composites = {}, {}
 
     @property
     def size(self):
         return len(self.complexes)
 
     def degrees(self):
-        out = set()
-        for h in self.homologies:
-            out.update(h.degrees)
-        return sorted(out)
+        return sorted({p for h in self.homologies for p in h.degrees})
 
     def induced(self, i, p):
-        key = (i, p)
-        if key not in self._induced:
-            mats = induced_on_homology(self.chain_maps[i],
-                                       self.homologies[i],
-                                       self.homologies[i + 1])
-            for pp, cols in mats.items():
-                self._induced[(i, pp)] = cols
-            self._induced.setdefault(key, [])
-        return self._induced[key]
+        if i not in self._induced:
+            self._induced[i] = induced_on_homology(
+                self.chain_maps[i], self.homologies[i], self.homologies[i + 1])
+        return self._induced[i].get(p, [])
 
-    def _composites(self, i, p):
-        """``(j, matrix of H^p(i) -> H^p(j))`` for j = i + 1, i + 2, ...,
-        each composed from the one before."""
-        comp = None
-        for j in range(i, self.size - 1):
-            step = self.induced(j, p)
-            comp = [dict(c) for c in step] if comp is None \
-                else linalg.matmul(step, comp, self.complexes[0].field)
-            yield j + 1, comp
+    def _composite(self, a, b, p):
+        """The matrix of H^p(a) -> H^p(b), a < b, composed from the one
+        into b - 1."""
+        key = (a, b, p)
+        if key not in self._composites:
+            step = self.induced(b - 1, p)
+            self._composites[key] = [dict(c) for c in step] if b == a + 1 \
+                else linalg.matmul(step, self._composite(a, b - 1, p),
+                                   self.complexes[0].field)
+        return self._composites[key]
 
     def rank_table(self, p) -> RankTable:
-        field = self.complexes[0].field
-        dims = [len(rep_order(h, p)) for h in self.homologies]
-        r = {}
-        for i in range(self.size):
-            r[(i, i)] = dims[i]
-            for j, comp in self._composites(i, p):
-                r[(i, j)] = linalg.rank(comp, field)
+        dims = [h.total_rank(p) for h in self.homologies]
+        r = {(i, j): sum(self.persistent_betti(i, j, p).coeffs.values())
+             for i in range(self.size) for j in range(i, self.size)}
         return RankTable(p=p, size=self.size, dims=dims, r=r)
 
     def q_shift_between(self, a, b):
-        return sum(self.chain_maps[i].q_shift for i in range(a, b))
+        return sum(self.q_shifts[a:b])
 
     def persistent_betti(self, a, b, p) -> LaurentPolynomial:
         """Graded rank of im(H^p(a) -> H^p(b)) in target quantum degrees."""
@@ -454,24 +466,51 @@ class FiltrationRun:
             raise ValueError(f"need 0 <= a <= b < {self.size}: {a}, {b}")
         if a == b:
             return betti_polynomial(self.homologies[a], p)
-        field = self.complexes[0].field
-        order = rep_order(self.homologies[a], p)
-        comp = next(m for j, m in self._composites(a, p) if j == b)
-        shift = self.q_shift_between(a, b)
-        out = LaurentPolynomial.zero()
-        by_q = {}
-        for idx, (q, _) in enumerate(order):
-            by_q.setdefault(q, []).append(idx)
-        for q, idxs in sorted(by_q.items()):
-            rk = linalg.rank([comp[i] for i in idxs], field)
-            if rk:
-                out = out + LaurentPolynomial.q(q + shift, rk)
-        return out
+        return self._image(a, b, p)
+
+    def _composite_image(self, a, b, p):
+        by_q, shift = {}, self.q_shift_between(a, b)
+        for (q, _), col in zip(rep_order(self.homologies[a], p),
+                               self._composite(a, b, p)):
+            by_q.setdefault(q + shift, []).append(col)
+        return LaurentPolynomial({q: linalg.rank(cols, self.complexes[0].field)
+                                  for q, cols in by_q.items()})
 
     def barcodes(self):
         """Per homological degree: the interval decomposition."""
         return {p: barcode_from_ranks(self.rank_table(p))
                 for p in self.degrees()}
+
+
+def _local_run(grades, diagrams, ranks, field, q_shifts, image):
+    """A run answered without its cube: each grade keeps its diagram, as
+    a stand-in for its complex, and its ranks {(p, q): rank}."""
+    return FiltrationRun(
+        grades, [SimpleNamespace(diagram=d) for d in diagrams], [],
+        [BigradedHomology(field, d.n_plus, d.n_minus, dict(r), {})
+         for d, r in zip(diagrams, ranks)], q_shifts, image)
+
+
+def _split(d: TangleDiagram):
+    """(D°, W): ``d`` without its portless arcs and free circles, and
+    those alone.  No saddle touches W, so C(d) = C(D°) ⊗ C(W)."""
+    arcs = set(d.portless_arcs())
+    ends = {x for p in arcs for x in p}
+    return (TangleDiagram([x for x in d.boundary if x not in ends],
+                          d.crossings, set(d.connections) - arcs),
+            TangleDiagram([x for x in d.boundary if x in ends], (), arcs,
+                          d.free_circles))
+
+
+def _core_key(d: TangleDiagram):
+    """D° up to the names of its boundary points: the crossings and the
+    ports of each connection."""
+    return d.crossings, frozenset(
+        frozenset(filter(d.is_port, p)) for p in d.connections) - {frozenset()}
+
+
+def _site(step):
+    return tuple(tuple(pair) for pair in step["site"]["from"])
 
 
 class Filtration:
@@ -498,8 +537,7 @@ class Filtration:
         self.field = GF2 if field is None else field
         self._runs = None
 
-    def _chain_map(self, i, src, dst):
-        step = self.steps[i]
+    def _chain_map(self, i, step, src, dst):
         kind = step["kind"]
         try:
             if kind == "identity":
@@ -520,69 +558,149 @@ class Filtration:
             if kind == "cup":
                 return cup_map(src, step.get("site", -1), dst=dst)
             if kind == "saddle":
-                site = (tuple(step["site"]["from"][0]),
-                        tuple(step["site"]["from"][1]))
-                return saddle_map(src, dst, site)
+                return saddle_map(src, dst, _site(step))
         except MorphismError as e:
             raise MorphismError(f"step {i}: {e}") from e
         raise MorphismError(f"step {i}: unknown step kind {kind!r}")
 
     def runs(self):
+        """The runs between breaks, each answered without its cube where
+        it can be (see the module docstring)."""
         if self._runs is not None:
             return self._runs
         # looked up per call: the benchmark tracer (bench/spans.py) wraps
         # complex.homology in place, and a module-level name would miss it
         from .complex import homology
-        # every diagram is checked before any cube is built; each distinct
-        # core is built and reduced once, and each other grade gets a view
+        cuts = [i + 1 for i, s in enumerate(self.steps)
+                if s["kind"] == "break"]
+        spans = list(zip([0] + cuts, cuts + [len(self.diagrams)]))
+        local = {a: self._local(a, b) for a, b in spans}
+        on_cube = [self.diagrams[a:b] for a, b in spans if not local[a]]
+        sized = {d for ds in on_cube for d in ds}
+        # every diagram is checked before any cube is built
         for d in dict.fromkeys(self.diagrams):
-            check_cube(d)
+            check_cube(d, states=d in sized)
+        # chain maps read the representatives of these cores, and of the
+        # crossingless cubes of W, where they cost nothing
+        read = {d.with_circles(0) for ds in on_cube if len(ds) > 1 for d in ds}
         built = {}
-        for d in self.diagrams:
+
+        def grade(d):
+            """(complex, homology) of ``d``; its core is built and reduced
+            once."""
             core = d.with_circles(0)
             if core not in built:
                 c = build_complex(core, field=self.field)
-                built[core] = (c, homology(c))
+                built[core] = (c, homology(c, representatives=core in read
+                                           or not core.n))
             if d not in built:
                 c, h = built[core]
                 view = c.with_circles(d)
                 built[d] = (view, h.tensor(view))
-        complexes = [built[d][0] for d in self.diagrams]
-        homologies = [built[d][1] for d in self.diagrams]
-        runs = []
-        start = 0
-        maps = []
-        for i, step in enumerate(self.steps):
-            if step["kind"] == "break":
-                runs.append(FiltrationRun(self.grades[start:i + 1],
-                                          complexes[start:i + 1],
-                                          maps, homologies[start:i + 1]))
-                start = i + 1
-                maps = []
-            else:
-                maps.append(self._chain_map(i, complexes[i],
-                                            complexes[i + 1]))
-        runs.append(FiltrationRun(self.grades[start:],
-                                  complexes[start:],
-                                  maps, homologies[start:]))
-        self._runs = runs
-        return runs
+            return built[d]
+
+        self._runs = [local[a](grade) if local[a] else self._on_cube(
+            a, list(map(grade, self.diagrams[a:b])), self.steps[a:b - 1])
+            for a, b in spans]
+        return self._runs
+
+    def _on_cube(self, a, grades, steps):
+        """The run from grade a over the (complex, homology) ``grades``."""
+        cs = [c for c, _ in grades]
+        maps = [self._chain_map(i, step, cs[k], cs[k + 1])
+                for k, (i, step) in enumerate(enumerate(steps, a))]
+        return FiltrationRun(self.grades[a:a + len(cs)], cs, maps,
+                             [h for _, h in grades])
+
+    def _local(self, a, b):
+        """Run a..b as a function of the cube builder ``grade`` when it
+        needs no cube of its diagrams, else None."""
+        if b - a == 2 and self.steps[a]["kind"] == "saddle":
+            return lambda grade: self._saddle_run(a)
+        on_w = [self._on_w(i) for i in range(a, b - 1)]
+        if b - a > 1 and all(on_w):
+            return lambda grade: self._tensor_run(a, on_w, grade)
+        return None
+
+    def _on_w(self, i):
+        """Step i as a step of W when it is the identity on D°, and so
+        acts on W alone; else false, and the cube says why a step with no
+        chain map fails."""
+        step, d, e = self.steps[i], self.diagrams[i], self.diagrams[i + 1]
+        kind, k = step["kind"], d.free_circles
+        if _core_key(d) != _core_key(e):
+            return None
+        if kind == "closure":
+            try:
+                spec = step.get("spec") or apply_planar(step["op"], d)[1]
+            except ValueError:
+                return None
+            return (spec.source, spec.target) == (d, e) and {
+                "kind": kind, "spec": ClosureMorphismSpec(
+                    _split(d)[1], _split(e)[1], spec.arc_images,
+                    spec.circle_images)}
+        return e == {"identity": d, "cup": k and d.with_circles(k - 1),
+                     "cap": not d.boundary and d.with_circles(k + 1)
+                     }.get(kind) and step
+
+    def _tensor_run(self, a, steps, grade):
+        """Steps that act on W alone: H(d) = H(D°) ⊗ W, each map is
+        id ⊗ g, and the run of W's own cubes composes the g's."""
+        from .local import ranks
+        ds = self.diagrams[a:a + len(steps) + 1]
+        w = self._on_cube(a, [grade(_split(d)[1]) for d in ds], steps)
+        core = ranks(_split(ds[0])[0], self.field)
+        betti = {p: LaurentPolynomial({q: r for (pp, q), r in core.items()
+                                       if pp == p}) for p, _ in core}
+        full = [{(p, q): r for p, b in betti.items() for q, r in
+                 (b * betti_polynomial(h, 0)).coeffs.items()}
+                for h in w.homologies]
+        return _local_run(w.grades, ds, full, self.field, w.q_shifts,
+                          lambda i, j, p: betti.get(p, LaurentPolynomial())
+                          * w.persistent_betti(i, j, 0))
+
+    def _saddle_run(self, i):
+        """Grades i, i + 1 joined by a saddle, from the long exact sequence
+        of its cone D̃: 0 -> [[D1]][-1]{1} -> [[D̃]] -> [[D0]] -> 0 is exact,
+        brackets unnormalized, and its connecting map is the saddle.  So
+        the rank r(l, j) of H^l[[D0]]_j -> H^l[[D1]]_{j-1} has r(l, j) +
+        r(l+1, j) = dim H^l[[D1]]_{j-1} + dim H^{l+1}[[D0]]_j
+        - dim H^{l+1}[[D̃]]_j, solved from the top degree down."""
+        from .local import ranks
+        d0, d1 = self.diagrams[i:i + 2]
+        try:
+            tilde, target = saddle_cone(d0, _site(self.steps[i]))
+            if target != d1:
+                raise MorphismError(
+                    "diagrams do not differ by the given site re-pairing")
+        except MorphismError as e:
+            raise MorphismError(f"step {i}: {e}") from e
+        ds = (d0, d1, tilde)
+        hs = [ranks(d, self.field) for d in ds]
+        h0, h1, ht = ({(p + d.n_minus, q - d.n_plus + 2 * d.n_minus): r
+                       for (p, q), r in h.items()} for d, h in zip(ds, hs))
+        image = {}   # p -> {target q: rank}
+        for j in {j for _, j in h0}:
+            r = 0
+            for lv in range(d0.n, -1, -1):
+                r = (h1.get((lv, j - 1), 0) + h0.get((lv + 1, j), 0)
+                     - ht.get((lv + 1, j), 0) - r)
+                image.setdefault(lv - d0.n_minus, {})[
+                    j + d0.n_plus - 2 * d0.n_minus - 1] = r
+        return _local_run(self.grades[i:i + 2], [d0, d1], hs[:2], self.field,
+                          [-1], lambda a, b, p: LaurentPolynomial(
+                              image.get(p, {})))
 
     def barcode_report(self):
         """JSON-ready rows: one per bar, per run, per degree."""
         rows = []
         for run_idx, run in enumerate(self.runs()):
             for p, bars in sorted(run.barcodes().items()):
-                for bar in bars:
-                    birth = run.grades[bar.birth]
-                    death = (None if bar.death is None
-                             else run.grades[bar.death])
-                    rows.append({
-                        "run": run_idx,
-                        "p": p,
-                        "birth": birth,
-                        "death": death,
-                        "multiplicity": bar.multiplicity,
-                        "q_shift_at_birth": run.q_shift_between(0, bar.birth),
-                    })
+                rows += [{"run": run_idx, "p": p,
+                          "birth": run.grades[bar.birth],
+                          "death": None if bar.death is None
+                          else run.grades[bar.death],
+                          "multiplicity": bar.multiplicity,
+                          "q_shift_at_birth": run.q_shift_between(
+                              0, bar.birth)} for bar in bars]
         return rows

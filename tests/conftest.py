@@ -5,6 +5,7 @@ import pytest
 
 from tanglekh import linalg
 from tanglekh.diagram import Crossing, TangleDiagram
+from tanglekh.persistence import Filtration
 
 
 def braid_closure(word, strands):
@@ -181,6 +182,20 @@ def flat_trefoil_points(n=400):
                     math.cos(t) - 2 * math.cos(2 * t),
                     -math.sin(3 * t)))
     return pts
+
+
+class CubeFiltration(Filtration):
+    """A filtration with every run on the cube: the reference for the
+    runs ``Filtration`` answers from local ranks, and the route whose
+    runs keep their chain maps."""
+
+    def _local(self, a, b):
+        return None
+
+
+def on_cube(filt):
+    """``filt`` with every run on the cube."""
+    return CubeFiltration(filt.grades, filt.diagrams, filt.steps, filt.field)
 
 
 @pytest.fixture

@@ -24,8 +24,9 @@ from tanglekh.algebra import GF2, QQ, PrimeField
 from tanglekh.complex import ComplexError, build_complex
 from tanglekh.diagram import (ComponentRecord, Crossing, Resolution,
                               TangleDiagram, apply_planar, resolve, validate)
-from tanglekh.persistence import (ClosureMorphismSpec, build_psi, cap_map,
-                                  cup_map, saddle_map, saddle_target_diagram)
+from tanglekh.persistence import (ClosureMorphismSpec, MorphismError,
+                                  build_psi, cap_map, cup_map, saddle_map,
+                                  saddle_target_diagram)
 
 from conftest import (braid_closure, chain_columns, closing_operator,
                       random_braid_diagram, tangle_with_extra_arcs)
@@ -489,25 +490,44 @@ def saddle_sites(rng, count):
     return out
 
 
+def repaired(d, site):
+    """``d`` with the connections of ``site`` re-paired, planar or not."""
+    (a, b), (c, e) = site
+    cut = {frozenset((a, b)), frozenset((c, e))}
+    return TangleDiagram(boundary=d.boundary, crossings=d.crossings,
+                         connections=[p for p in d.connections
+                                      if frozenset(p) not in cut]
+                         + [(a, c), (b, e)], free_circles=d.free_circles)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 def test_saddle_maps_match_reference(field):
     """Random sites include re-pairings whose target is not planar:
-    ``build_complex`` refuses those up front, and they hold every target
-    the reference refuses (outside the five local cases, one circle to
-    one circle).  A map outside the five cases on planar ends must be
-    refused by both sides.  The map must also equal the projection
+    ``saddle_target_diagram`` refuses every site where no crossing fits,
+    ``build_complex`` refuses those targets up front, and they hold every
+    target the reference refuses (outside the five local cases, one
+    circle to one circle).  A refused site with a planar target must be
+    refused by the reference too.  The map must also equal the projection
     out of the cone as a matrix (the cone inserts entries in its own
     order).  Merges send (+, -) and (-, +) to one target, so applying the
     map to random combinations must see terms cancel."""
     pick = random.Random(61)
     matched = cancelled = refused = 0
     for d, site in saddle_sites(random.Random(59), 24):
-        d2 = saddle_target_diagram(d, site)
-        if not validate(d2):
-            with pytest.raises(ComplexError, match="not planar"):
-                build_complex(d2, field=field)
-            refused += 1
+        try:
+            d2 = saddle_target_diagram(d, site)
+        except MorphismError:
+            d2 = repaired(d, site)
+            if validate(d2):
+                with pytest.raises(ValueError):
+                    ref_saddle(RefComplex(d, field), RefComplex(d2, field),
+                               site)
+            else:
+                with pytest.raises(ComplexError, match="not planar"):
+                    build_complex(d2, field=field)
+                refused += 1
             continue
+        assert validate(d2)
         rd = RefComplex(d2, field)
         cs, cd = build_complex(d, field=field), build_complex(d2, field=field)
         rs = RefComplex(d, field)

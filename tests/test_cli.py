@@ -21,7 +21,8 @@ from tanglekh.ingest import CurveSet
 from tanglekh.invariants import betti_polynomial, jones_from_homology
 from tanglekh.persistence import Filtration, saddle_target_diagram
 
-from conftest import braid_closure, braid_tangle, circle_polyline, kink_arc
+from conftest import (braid_closure, braid_tangle, circle_polyline, kink_arc,
+                      on_cube)
 from cube_helpers import negate_edge
 from test_local import random_braid_tangle
 
@@ -418,6 +419,35 @@ def test_persist_saddle_step(tmp_path, capsys):
                         steps=[{"kind": "saddle",
                                 "site": {"from": site}}]).barcode_report()
     assert rows == expect
+
+
+def test_persist_refuses_a_saddle_that_is_not_local(tmp_path, capsys):
+    """On the closure of [2, -1] on 4 strands the two connections of this
+    site share no face: the re-paired wiring is planar, but no crossing
+    fits the site in either port order, and one circle would go to one
+    circle.  The library refuses the site with a MorphismError, and
+    ``persist`` exits 2 naming the step."""
+    from tanglekh.persistence import MorphismError, saddle_cone
+    from test_assemble import repaired
+    d = braid_closure([2, -1], 4)
+    site = ((("x", 0, 2), ("x", 1, 3)), (("x", 1, 2), ("x", 0, 1)))
+    d2 = repaired(d, site)
+    assert validate(d2)
+    for refuse in (saddle_cone, saddle_target_diagram):
+        with pytest.raises(MorphismError, match="not a local saddle"):
+            refuse(d, site)
+    steps = [{"kind": "saddle", "site": {"from": site}}]
+    filt = Filtration(grades=[0, 1], diagrams=[d, d2], steps=steps)
+    for route in (filt, on_cube(filt)):
+        with pytest.raises(MorphismError, match="step 0: no crossing fits"):
+            route.runs()
+    path = write_json(tmp_path / "filt.json", {
+        "grades": [0, 1], "diagrams": [d.to_json(), d2.to_json()],
+        "steps": [{"kind": "saddle",
+                   "site": {"from": [list(map(list, pair))
+                                     for pair in site]}}]})
+    assert main(["persist", path]) == 2
+    assert "step 0: no crossing fits" in capsys.readouterr().err
 
 
 def test_persist_op_closure_step(tmp_path, capsys):

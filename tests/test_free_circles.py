@@ -29,7 +29,8 @@ from tanglekh.diagram import apply_planar
 from tanglekh.persistence import Filtration, FiltrationRun
 
 import persistence_reference as ref
-from conftest import braid_closure, closing_operator, tangle_with_extra_arcs
+from conftest import (braid_closure, closing_operator, on_cube,
+                      tangle_with_extra_arcs)
 from stored_complex import StoredComplex, stored_homology
 
 FIELDS = {"F2": GF2, "F3": PrimeField(3), "Q": QQ}
@@ -103,7 +104,9 @@ def test_persistence_equals_the_whole_cube(name, monkeypatch):
     rng = random.Random(43)
     nonzero = 0
     for filt in filtrations(rng, field):
-        for run in filt.runs():
+        assert filt.barcode_report() == on_cube(filt).barcode_report()
+        for run in on_cube(filt).runs():
+            assert run.chain_maps
             whole = [cx._reduce(c, True) for c in run.complexes]
             for h, w in zip(run.homologies, whole):
                 assert h.representatives == w.representatives

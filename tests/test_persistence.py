@@ -13,7 +13,7 @@ from tanglekh.persistence import (Bar, ChainMap, ClosureMorphismSpec,
                                   saddle_target_diagram, verify_chain_map)
 
 from conftest import (bare_arc, braid_closure, braid_tangle, chain_columns,
-                      closing_operator, compose, kink_arc,
+                      closing_operator, compose, kink_arc, on_cube,
                       tangle_with_extra_arcs)
 from test_assemble import RefComplex, ref_saddle_cone
 
@@ -371,8 +371,11 @@ def test_saddle_step_in_filtration():
                               "site": {"from": [list(site[0]),
                                                 list(site[1])]}}],
                       field=QQ)
-    (run,) = filt.runs()
-    assert run.chain_maps[0].q_shift == -1
+    (run,) = on_cube(filt).runs()
+    assert len(run.chain_maps) == 1 and run.chain_maps[0].q_shift == -1
+    (local,) = filt.runs()
+    assert local.q_shifts == [-1] and not local.chain_maps
+    assert filt.barcode_report() == on_cube(filt).barcode_report()
 
 
 def test_cap_cup_filtration_builds_each_complex_once(monkeypatch):
@@ -389,8 +392,11 @@ def test_cap_cup_filtration_builds_each_complex_once(monkeypatch):
                        free_circles=d.free_circles + 1)
     filt = Filtration(grades=[0, 1, 2], diagrams=[d, up, d],
                       steps=[{"kind": "cap"}, {"kind": "cup"}], field=QQ)
-    filt.barcode_report()
-    assert built == [d]   # up is d plus a free circle: a view of d's cube
+    rows = filt.barcode_report()
+    # the maps act on the free circle alone: only its crossingless cube
+    assert built == [TangleDiagram()]
+    assert on_cube(filt).barcode_report() == rows
+    assert built[1:] == [d]   # up is d plus a free circle: a view of d's cube
     c = build_complex(d, field=QQ)
     with pytest.raises(MorphismError, match="cap target mismatch"):
         cap_map(c, dst=c)
@@ -411,7 +417,9 @@ def test_equal_grades_build_once(monkeypatch):
     filt = Filtration(grades=[0, 1, 2], diagrams=[d, d, d],
                       steps=[{"kind": "identity"}] * 2, field=QQ)
     (run,) = filt.runs()
-    assert built == [d]
+    assert built == [TangleDiagram()]   # no cube of d, only of W = nothing
+    on_cube(filt).runs()
+    assert built[1:] == [d]
     h = homology(build_complex(d, field=QQ))
     assert {p: [(b.birth, b.death, b.multiplicity) for b in bars]
             for p, bars in run.barcodes().items()} == \

@@ -17,13 +17,12 @@ from tanglekh.algebra import GF2
 from tanglekh.complex import Edge, build_complex, homology
 from tanglekh.cube import saddle
 from tanglekh.diagram import resolve, walk
-from tanglekh.persistence import saddle_target_diagram
 
 from conftest import (bare_arc, braid_closure, kink_arc, random_braid_diagram,
                       tangle_with_extra_arcs)
 from cube_helpers import negate_edge
 from stored_complex import StateTable, classify, saddle_parts
-from test_assemble import ref_resolve, saddle_sites
+from test_assemble import ref_resolve, repaired, saddle_sites
 
 
 def diagrams():
@@ -37,8 +36,9 @@ def diagrams():
                                               n_arcs=rng.randint(1, 2)))
         else:
             out.append(random_braid_diagram(rng, 6, closed=k % 3 == 0))
-    # targets of random sites: some leave the five local cases
-    out += [saddle_target_diagram(d, site)
+    # targets of random sites, re-paired whether or not a crossing fits
+    # them: some leave the five local cases
+    out += [repaired(d, site)
             for d, site in saddle_sites(random.Random(59), 12)]
     return out
 
@@ -107,7 +107,7 @@ def test_site_saddles_match_reference():
     leave the five local cases, and then both refuse."""
     outcomes = set()
     for d, ((a, b), (cc, dd)) in saddle_sites(random.Random(59), 24):
-        d2 = saddle_target_diagram(d, ((a, b), (cc, dd)))
+        d2 = repaired(d, ((a, b), (cc, dd)))
         rank = d.wiring()[1]
         ports = tuple(rank[x] for x in (a, cc, dd, b))
         t = len(d.boundary) // 2
