@@ -2,8 +2,9 @@
 
 Subcommands: compute (homology of one diagram), persist (barcodes of a
 filtration), ingest (3-D curves to a filtration), oracle (homology-side
-Euler characteristic vs the state sum).  Exit codes: 0 success,
-1 mismatch/negative verdict, 2 input validation, 3 genericity failure.
+Euler characteristic vs the state sum, and the cube's ranks vs the local
+algorithm's).  Exit codes: 0 success, 1 mismatch/negative verdict,
+2 input validation, 3 genericity failure.
 """
 
 from __future__ import annotations
@@ -157,14 +158,22 @@ def cmd_oracle(args):
         c = build_complex(d, field=field_from_name("q"))
     except ComplexError as e:
         raise SystemExit2(str(e))
+    from .local import ranks
     # homology ranks assume d^2 = 0, so a broken complex has no homology side
     ok, where = verify_d_squared(c)
-    lhs = (jones_from_homology(homology(c, representatives=False)) if ok
+    h = homology(c, representatives=False) if ok else None
+    lhs = (jones_from_homology(h) if ok
            else f"undefined, d^2 != 0 at (p, column) = {where}")
     rhs = state_sum(d)
+    # any ranks have the chain-level Euler characteristic, so the ranks are
+    # checked against the local algorithm, which shares no code with the cube
+    bad = ok and min(h.ranks.items() ^ ranks(d, c.field).items(), default=0)
+    local = (f"differ at (p, q) = {bad[0]}" if bad
+             else "equal to the cube's" if ok else "undefined")
     print(f"homology side: {lhs}")
     print(f"state sum:     {rhs}")
-    if ok and lhs == rhs:
+    print(f"local ranks:   {local}")
+    if ok and lhs == rhs and not bad:
         print("MATCH")
         return 0
     print("MISMATCH")

@@ -14,16 +14,16 @@ in which generator i·2^k + f is core generator i with free labels f.
 from __future__ import annotations
 
 import bisect
-import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property, lru_cache
 from math import comb
 from typing import NamedTuple
 
 from . import linalg
 from .algebra import GF2
-from .cube import bystanders, labels_of, mask_of, saddle
+from .cube import (bystanders, labels_of, mask_of, saddle, state_bits,
+                   state_number, zero_bits)
 from .diagram import TangleDiagram, validate, walk
 from .diagram import resolve  # noqa: F401  the benchmark's tracer wraps it here
 
@@ -38,31 +38,20 @@ MAX_STATES = 1 << 16
 
 
 class Generator(NamedTuple):
-    """A basis element: a state and one label per component."""
+    """A basis element: a state, as its bits, and one label per component."""
 
     state: tuple
     labels: tuple
-
-
-class Edge(NamedTuple):
-    """A classified cube edge out of a state: its target state, its sign
-    (negative or not) and the saddle's parts as ``cube.saddle`` gives
-    them."""
-
-    target: tuple
-    negative: bool
-    images: tuple
-    active: int
-    terms: dict
 
 
 @dataclass
 class GradedChainComplex:
     """Generator i of degree p is (state, mask) with i = offset + mask,
     where ``layout[state] = (p, offset)`` and mask is a bitmask over the
-    state's circles (see ``cube``).  States of one degree take consecutive
-    index ranges in lexicographic state order, so the basis is ordered by
-    state, then by labeling with '+' before '-'.  This index is the only
+    state's circles, and the state its number (see ``cube``), which
+    indexes every per-state list.  States of one degree take consecutive
+    index ranges in state order, so the basis is ordered by state, then
+    by labeling with '+' before '-'.  This index is the only
     name of a generator: blocks, echelons and representatives all use it.
 
     The complex stores per-state data only, and computes the differential
@@ -77,11 +66,11 @@ class GradedChainComplex:
     field: object
     n_plus: int
     n_minus: int
-    rt: dict             # state -> (circles r, arcs t)
-    layout: dict         # state -> (p, offset of the state's mask 0)
-    edges: dict          # state -> tuple of Edge over core masks, by crossing
+    rt: list             # state -> (circles r, arcs t)
+    layout: list         # state -> (p, offset of the state's mask 0)
+    edges: list          # state -> the cube.saddle record of each 0 bit
     dims: dict           # p -> dim C^p
-    comps: dict          # state -> component of each node rank, as bytes
+    comps: list          # state -> component of each node rank, as bytes
     free: int = 0        # k free circles, the lowest k bits of each mask
     core: object = dc_field(default=None, repr=False, compare=False)
 
@@ -90,12 +79,10 @@ class GradedChainComplex:
         core, k = self.core or self, d.free_circles
         if not k:
             return core
-        return GradedChainComplex(
-            diagram=d, field=core.field, n_plus=core.n_plus,
-            n_minus=core.n_minus, edges=core.edges, comps=core.comps,
-            rt={s: (r + k, t) for s, (r, t) in core.rt.items()},
-            layout={s: (p, off << k) for s, (p, off) in core.layout.items()},
-            dims={p: n << k for p, n in core.dims.items()}, free=k, core=core)
+        return replace(core, diagram=d, free=k, core=core,
+                       rt=[(r + k, t) for r, t in core.rt],
+                       layout=[(p, off << k) for p, off in core.layout],
+                       dims={p: n << k for p, n in core.dims.items()})
 
     @property
     def degrees(self):
@@ -112,8 +99,7 @@ class GradedChainComplex:
         """p -> (offsets, states, q of mask 0, circle counts), in index
         order."""
         out = {}
-        for state, (p, off) in self.layout.items():
-            r, t = self.rt[state]
+        for state, ((p, off), (r, t)) in enumerate(zip(self.layout, self.rt)):
             lists = out.setdefault(p, ([], [], [], []))
             lists[0].append(off)
             lists[1].append(state)
@@ -189,15 +175,18 @@ class GradedChainComplex:
     def _columns(self, state, masks):
         """The column of d at each of the given masks of one state, one at
         a time: a dict {row index: int} with entries 1 and -1 (mod p over
-        F_p, so all 1 over F2).  Entries are inserted edge by edge in
-        crossing order, then in the order of the local map's terms; an
-        edge whose local map is zero is skipped.  Free bits are bystanders."""
+        F_p, so all 1 over F2).  The edge that flips ``bit`` reaches state
+        ``state | bit`` with sign -1 to the number of 1s above ``bit``.
+        Edges write in crossing order, each in its local map's term order;
+        an edge whose local map is zero is skipped.  Free bits are
+        bystanders."""
         f, k = self.field, self.free
-        pos, neg = 1, (f.p - 1 if f.char else -1)
-        edges = [(self.layout[target][1], bystanders(images), active, terms,
-                  neg if negative else pos)
-                 for target, negative, images, active, terms
-                 in self.edges[state] if any(terms.values())]
+        signs = (1, f.p - 1 if f.char else -1)
+        edges = [(self.layout[state | bit][1], bystanders(images), active,
+                  terms, signs[(state >> bit.bit_length()).bit_count() & 1])
+                 for bit, (_, images, active, terms)
+                 in zip(zero_bits(state, self.diagram.n), self.edges[state])
+                 if any(terms.values())]
         for m in masks:
             core, free = m >> k, m & ((1 << k) - 1)
             col = {}
@@ -223,8 +212,8 @@ def _by_popcount(r):
 
 
 class _DegreeView(Sequence):
-    """A read-only sequence with one item per generator of degree p,
-    made by ``_at(state, mask)`` and, state by state, by ``_over(state)``."""
+    """A read-only sequence with one item per generator of degree p, made
+    state by state by ``_over(state, masks)``."""
 
     def __init__(self, c, p):
         self._c, self._p = c, p
@@ -233,35 +222,25 @@ class _DegreeView(Sequence):
         return self._c.dim(self._p)
 
     def __getitem__(self, i):
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        return self._at(*self._c.locate(self._p, i))
+        state, mask = self._c.locate(self._p, range(len(self))[i])
+        return next(self._over(state, (mask,)))
 
     def __iter__(self):
         for state in self._c._states[self._p][1]:
-            yield from self._over(state)
+            yield from self._over(state, range(1 << self._c.rt[state][0]))
 
 
 class _DegreeBasis(_DegreeView):
-    def _at(self, state, mask):
-        return Generator(state, labels_of(*self._c.rt[state], mask))
-
-    def _over(self, state):
-        r, t = self._c.rt[state]
-        return (Generator(state, labels_of(r, t, m)) for m in range(1 << r))
+    def _over(self, state, masks):
+        (r, t), bits = self._c.rt[state], state_bits(state, self._c.diagram.n)
+        return (Generator(bits, labels_of(r, t, m)) for m in masks)
 
 
 class _DegreeColumns(_DegreeView):
     """The columns of d^p as dicts, equal to a list of the same dicts."""
 
-    def _at(self, state, mask):
-        return next(self._c._columns(state, (mask,)))
-
-    def _over(self, state):
-        return self._c._columns(state, range(1 << self._c.rt[state][0]))
+    def _over(self, state, masks):
+        return self._c._columns(state, masks)
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and list(self) == list(other)
@@ -272,14 +251,15 @@ class _Index(Mapping):
         self._c = c
 
     def __getitem__(self, key):
-        state, labels = key
+        bits, labels = key
+        if len(bits) != self._c.diagram.n or not set(bits) <= {0, 1}:
+            raise KeyError(key)
+        state = state_number(bits)
         p, off = self._c.layout[state]
         return p, off + mask_of(*self._c.rt[state], labels)
 
     def __iter__(self):
-        for gens in self._c.basis.values():
-            for g in gens:
-                yield g.state, g.labels
+        return (tuple(g) for gens in self._c.basis.values() for g in gens)
 
     def __len__(self):
         return self._c.total_dim()
@@ -300,44 +280,31 @@ def check_cube(d: TangleDiagram, states=True):
 def build_complex(d: TangleDiagram, field=GF2) -> GradedChainComplex:
     """Assemble the cochain complex of ``d``, as a view of its core's.
 
-    Each state of the core is walked once into a node -> component array
-    (``diagram.walk``), kept as bytes for the chain maps, and each cube
-    edge classified and signed once from the arrays of its two states; no
-    differential column is built here (see ``block_columns``).  Distinct
-    edges of a state reach distinct target states and a split's two target
-    masks differ, so every (column, row) entry is a single signed term.
+    Each state s < 2^n of the core is walked once into a node -> component
+    array (``diagram.walk``), kept as bytes for the chain maps, and each
+    cube edge classified once from the arrays of its two states: edges[s]
+    holds the cached ``cube.saddle`` record of each 0 bit.  No column is
+    built here (see ``block_columns``).  Distinct edges of a state reach
+    distinct target states and a split's two target masks differ, so
+    every (column, row) entry is a single signed term.
     """
     check_cube(d)
     core = d.with_circles(0)
     ports = core.wiring()[3]
     n, t, n_minus = d.n, len(d.boundary) // 2, d.n_minus
-    states = list(itertools.product((0, 1), repeat=n))
-    walked, comps, rt, layout, dims = [], {}, {}, {}, {}
-    for state in states:
+    comps, rt, layout, dims, pairs = [], [], [], {}, {}
+    for state in range(1 << n):
         comp, _, r = walk(core, state)
-        comps[state] = bytes(comp) if len(comp) <= 256 else tuple(comp)
-        walked.append((comps[state], r))
-        rt[state] = (r, t)
-        p = sum(state) - n_minus
+        comps.append(bytes(comp) if len(comp) <= 256 else tuple(comp))
+        rt.append(pairs.setdefault(r, (r, t)))   # one tuple per distinct r
+        p = state.bit_count() - n_minus
         off = dims.get(p, 0)
-        layout[state] = (p, off)
+        layout.append((p, off))
         dims[p] = off + (1 << r)
 
-    edges = {}
-    for k, (state, src) in enumerate(zip(states, walked)):
-        out = []
-        ones = 0
-        for star, bit in enumerate(state):
-            if bit:
-                ones += 1
-                continue
-            # states are in binary order, crossing 0 the highest bit
-            target = k + (1 << (n - 1 - star))
-            _, images, active, terms = saddle(src, walked[target], t,
-                                              ports[star])
-            out.append(Edge(states[target], ones % 2 == 1,
-                            images, active, terms))
-        edges[state] = tuple(out)
+    edges = [tuple(saddle((comps[s], rt[s][0]), (comps[s | b], rt[s | b][0]),
+                          t, ports[n - b.bit_length()])
+                   for b in zero_bits(s, n)) for s in range(1 << n)]
 
     return GradedChainComplex(
         diagram=core, field=field, n_plus=d.n_plus, n_minus=d.n_minus,

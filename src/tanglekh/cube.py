@@ -1,7 +1,8 @@
-"""Circle bitmasks and the saddle kernel, in rank space.
+"""State numbers, circle bitmasks and the saddle kernel, in rank space.
 
-An edge flips one crossing bit from 0 to 1.  Its sign is (-1)^(number of
-1s before the flipped bit), crossings ordered by ascending id.
+A state is its number, crossing 0 (lowest id) the highest bit.  An edge
+flips one 0 bit to 1, to ``state | bit``; its sign is (-1)^(number of 1s
+above it).
 
 A generator over a state with t arcs and r circles is a bitmask over the
 circles: bit 1 means the label '-', and the first circle (in component
@@ -17,6 +18,21 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .algebra import SADDLE
+
+
+def state_bits(state, n):
+    """The bits of state number ``state`` by crossing, for n crossings."""
+    return tuple(state >> k & 1 for k in reversed(range(n)))
+
+
+def state_number(bits):
+    """The number of the state whose bits by crossing are ``bits``."""
+    return sum(b << k for k, b in enumerate(reversed(bits)))
+
+
+def zero_bits(state, n):
+    """The bit of each crossing at 0 in ``state``, in crossing order."""
+    return [1 << k for k in reversed(range(n)) if not state >> k & 1]
 
 
 def circle_bit(r, t, i):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .cube import state_number
+
 
 # Smoothing convention (``walk``), calibrated so that the one-crossing
 # negative kink has a single arc in its 0-state and an arc plus a circle
@@ -315,8 +317,8 @@ def _orbits(*perms):
 
 
 def walk(d: TangleDiagram, state):
-    """Trace the components of one state over the node ranks of
-    ``d.wiring()``.
+    """Trace the components of state number ``state`` (crossing 0 its
+    highest bit) over the node ranks of ``d.wiring()``.
 
     Returns ``(comp, order, r)``: ``comp[k]`` is the component of node
     rank k, ``order`` lists the ranks component by component in walk
@@ -330,8 +332,8 @@ def walk(d: TangleDiagram, state):
     """
     _, _, partner, ports = d.wiring()
     smoothed = [-1] * len(partner)   # rank -> rank across its smoothing
-    for (a, b, c, e), bit in zip(ports, state):
-        if bit:
+    for i, (a, b, c, e) in enumerate(ports):
+        if state >> (d.n - 1 - i) & 1:
             smoothed[a], smoothed[b], smoothed[c], smoothed[e] = b, a, e, c
         else:
             smoothed[a], smoothed[e], smoothed[b], smoothed[c] = e, a, c, b
@@ -370,7 +372,7 @@ def resolve(d: TangleDiagram, state) -> Resolution:
     if len(state) != d.n:
         raise ValueError(f"state length {len(state)} != {d.n} crossings")
 
-    comp, order, _ = walk(d, state)
+    comp, order, r = walk(d, state_number(state))
     nodes = d.wiring()[0]
     paths = []
     for k in order:
@@ -388,9 +390,8 @@ def resolve(d: TangleDiagram, state) -> Resolution:
         components.append(ComponentRecord(
             id=len(components), kind="circle", ports=(), endpoints=()))
 
-    r = sum(1 for c in components if c.kind == "circle")
-    t = len(components) - r
-    return Resolution(state=state, components=tuple(components), r=r, t=t)
+    return Resolution(state=state, components=tuple(components), r=r,
+                      t=len(components) - r)
 
 
 # -- 1-input planar tangle operations ------------------------------------

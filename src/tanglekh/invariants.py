@@ -8,8 +8,6 @@ agreement with the homology side is genuine evidence of correctness.
 
 from __future__ import annotations
 
-import itertools
-
 from .algebra import LaurentPolynomial, Q_PLUS_QINV
 from .complex import BigradedHomology
 from .diagram import TangleDiagram
@@ -45,17 +43,17 @@ def state_sum(d: TangleDiagram) -> LaurentPolynomial:
 
     n_plus, n_minus = d.n_plus, d.n_minus
     total = LaurentPolynomial.zero()
-    for state in itertools.product((0, 1), repeat=d.n):
+    for state in range(1 << d.n):   # crossing k takes bit k
         root.clear()
         joins = list(d.connections)
-        for c, bit in zip(d.crossings, state):
+        for k, c in enumerate(d.crossings):
             a, b, e, f = c.ports
-            joins += [(a, b), (e, f)] if bit else [(a, f), (b, e)]
+            joins += [(a, b), (e, f)] if state >> k & 1 else [(a, f), (b, e)]
         for x, y in joins:
             root[find(x)] = find(y)
         t = len({find(x) for x in d.boundary})
         r = len({find(x) for j in joins for x in j}) - t + d.free_circles
-        ell = sum(state)
+        ell = state.bit_count()
         sign = -1 if (ell - n_minus) % 2 else 1
         term = LaurentPolynomial.q(ell + n_plus - 2 * n_minus - t, sign)
         total = total + term * (Q_PLUS_QINV ** r)

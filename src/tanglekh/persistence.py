@@ -26,7 +26,7 @@ from . import linalg
 from .algebra import GF2, LaurentPolynomial
 from .complex import (BigradedHomology, GradedChainComplex, build_complex,
                       check_cube)
-from .cube import bystanders, circle_bit, saddle
+from .cube import bystanders, circle_bit, saddle, state_bits
 from .diagram import Crossing, TangleDiagram, apply_planar, validate
 from .invariants import betti_polynomial
 
@@ -93,14 +93,14 @@ class ClosureMorphismSpec:
 @dataclass
 class ChainMap:
     """A chain map sending the generators over each state to those over
-    the same state of ``dst``.  ``parts[state]`` is an ``(images, active,
-    terms)`` record as ``cube.saddle`` gives it: source mask m goes to the
-    target masks by[m] | t, t in terms[m & active], by =
+    the same state of ``dst``.  ``parts[state]``, by state number, is an
+    ``(images, active, terms)`` record as ``cube.saddle`` gives it: source
+    mask m goes to the target masks by[m] | t, t in terms[m & active], by =
     ``bit_table(images)``, each with coefficient 1."""
 
     src: GradedChainComplex
     dst: GradedChainComplex
-    parts: dict      # state -> (images, active, terms)
+    parts: list      # state -> (images, active, terms)
     q_shift: int
 
     def _column(self, state, m):
@@ -171,12 +171,11 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
     nb_s, nb_t = len(ds.boundary), len(dt.boundary)
     arcs_s = _portless_ranks(ds)
     arcs_t = _portless_ranks(dt)
-    parts = {}
+    parts = []
     q_shift = None
 
-    for state in src.layout:
-        comp_s, comp_t = src.comps[state], dst.comps[state]
-        (r_s, t_s), (r_t, t_t) = src.rt[state], dst.rt[state]
+    for state, (comp_s, comp_t, (r_s, t_s), (r_t, t_t)) in enumerate(
+            zip(src.comps, dst.comps, src.rt, dst.rt)):
         free_s = t_s + r_s - ds.free_circles   # index of the first free circle
         free_t = t_t + r_t - dt.free_circles
 
@@ -193,11 +192,12 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
         images = [j for _, j in mapping]
         if len(set(images)) != len(images):
             raise MorphismError(
-                f"components merge in state {state}: no chain map exists")
+                f"components merge in state {state_bits(state, ds.n)}: "
+                "no chain map exists")
         for i, j in mapping:
             if i >= t_s and j < t_t:
-                raise MorphismError(
-                    f"circle maps to arc in state {state}")
+                raise MorphismError("circle maps to arc in state "
+                                    f"{state_bits(state, ds.n)}")
 
         new = set(range(t_t + r_t)) - set(images)
         shift = sum(1 if j >= t_t else -1 for j in new)
@@ -216,7 +216,7 @@ def build_psi(src: GradedChainComplex, dst: GradedChainComplex,
                 bit_images[circle_bit(r_s, t_s, i).bit_length() - 1] = b
             else:
                 closed |= b
-        parts[state] = (tuple(bit_images), 0, {0: (closed,)})
+        parts.append((tuple(bit_images), 0, {0: (closed,)}))
 
     return ChainMap(src=src, dst=dst, parts=parts,
                     q_shift=0 if q_shift is None else q_shift)
@@ -245,8 +245,8 @@ def _target(c: GradedChainComplex, d2: TangleDiagram, dst, kind):
 def identity_map(c: GradedChainComplex, dst=None):
     """The identity of ``c``, into ``dst`` (another complex of c) if given."""
     dst = _target(c, c.diagram, c if dst is None else dst, "identity")
-    parts = {state: (tuple(1 << k for k in range(r)), 0, {0: (0,)})
-             for state, (r, _) in c.rt.items()}
+    parts = [(tuple(1 << k for k in range(r)), 0, {0: (0,)})
+             for r, _ in c.rt]
     return ChainMap(src=c, dst=dst, parts=parts, q_shift=0)
 
 
@@ -259,8 +259,8 @@ def cap_map(c: GradedChainComplex, dst=None):
     d2 = c.diagram.with_circles(c.diagram.free_circles + 1)
     dst = _target(c, d2, dst, "cap")
     # the new circle comes last: the lowest bit, labelled v+
-    parts = {state: (tuple(2 << k for k in range(r)), 0, {0: (0,)})
-             for state, (r, _) in c.rt.items()}
+    parts = [(tuple(2 << k for k in range(r)), 0, {0: (0,)})
+             for r, _ in c.rt]
     return ChainMap(src=c, dst=dst, parts=parts, q_shift=1)
 
 
@@ -277,10 +277,9 @@ def cup_map(c: GradedChainComplex, circle_index=-1, dst=None):
     dst = _target(c, c.diagram.with_circles(free - 1), dst, "cup")
     # free circles are the lowest bits, the first one highest among them
     b = free - 1 - circle_index
-    parts = {state: (tuple([1 << k for k in range(b)] + [0]
-                           + [1 << k for k in range(b, r - 1)]),
-                     1 << b, {0: (), 1 << b: (0,)})
-             for state, (r, _) in c.rt.items()}
+    parts = [(tuple([1 << k for k in range(b)] + [0]
+                    + [1 << k for k in range(b, r - 1)]),
+              1 << b, {0: (), 1 << b: (0,)}) for r, _ in c.rt]
     return ChainMap(src=c, dst=dst, parts=parts, q_shift=1)
 
 
@@ -330,9 +329,9 @@ def saddle_map(src: GradedChainComplex, dst: GradedChainComplex,
     rank = src.diagram.wiring()[1]
     ports = tuple(rank[x] for x in (a, cc, dd, b))
     t = len(src.diagram.boundary) // 2
-    parts = {state: saddle((src.comps[state], src.rt[state][0]),
-                           (dst.comps[state], dst.rt[state][0]), t, ports)[1:]
-             for state in src.layout}
+    parts = [saddle((src.comps[s], src.rt[s][0]),
+                    (dst.comps[s], dst.rt[s][0]), t, ports)[1:]
+             for s in range(len(src.layout))]
     return ChainMap(src=src, dst=dst, parts=parts, q_shift=-1)
 
 

@@ -6,7 +6,8 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 
-from tanglekh.cube import bit_table, labels_of, mask_of, saddle
+from tanglekh.complex import GradedChainComplex
+from tanglekh.cube import bit_table, labels_of, mask_of, saddle, state_number
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,34 @@ def transfer_labels(cls, res_s, res_t, src_labels):
             for t in cls.terms[m & cls.active]]
 
 
+@dataclass
+class _Negated(GradedChainComplex):
+    """A complex whose ``_columns`` negate the entries that one cube edge
+    writes: those out of state number ``flip[0]`` into the rows of its
+    target state ``flip[0] | flip[1]``."""
+
+    flip: tuple = None
+
+    def _columns(self, state, masks):
+        cols = super()._columns(state, masks)
+        source, bit = self.flip
+        if state != source:
+            return cols
+        lo = self.layout[source | bit][1]
+        rows = range(lo, lo + (1 << self.rt[source | bit][0]))
+        char = self.field.char
+        return ({i: (-x % char if char else -x) if i in rows else x
+                 for i, x in col.items()} for col in cols)
+
+
 def negate_edge(c, edge):
     """A copy of the built complex ``c`` with the sign of one cube edge
-    ``(state, star)`` negated (``c`` itself when ``edge`` is None).  The
-    edges out of a state are stored by ascending crossing, one per 0 bit."""
+    ``(state, star)`` negated (``c`` itself when ``edge`` is None), the
+    state given by its bits and ``state[star]`` a 0 bit."""
     if edge is None:
         return c
     state, star = edge
-    k = state[:star].count(0)
-    out = list(c.edges[state])
-    out[k] = out[k]._replace(negative=not out[k].negative)
-    return dataclasses.replace(c, edges={**c.edges, state: tuple(out)})
+    assert state[star] == 0
+    return _Negated(**{f.name: getattr(c, f.name)
+                       for f in dataclasses.fields(c)},
+                    flip=(state_number(state), 1 << (len(state) - 1 - star)))

@@ -16,6 +16,7 @@ from tanglekh.ingest import (CurveSet, Polyline, build_filtration,
                              critical_radii, project_and_detect,
                              sample_grades)
 from tanglekh.invariants import jones_from_homology, state_sum
+from tanglekh.local import ranks
 from tanglekh.persistence import (ClosureMorphismSpec, Filtration, build_psi,
                                   cap_map, compose_specs, cup_map,
                                   induced_on_homology, rep_order, saddle_map,
@@ -86,6 +87,9 @@ def test_criterion_4_oracle_equivalence():
     for d in samples:
         h = homology(build_complex(d, field=QQ), representatives=False)
         assert jones_from_homology(h) == state_sum(d), d.to_json()
+        # any ranks have the chain-level Euler characteristic: the ranks
+        # themselves are checked against the local algorithm
+        assert h.ranks == ranks(d, QQ), d.to_json()
 
 
 def identity_tangle():

@@ -438,6 +438,10 @@ def test_index_rejects_labelings_that_do_not_fit():
     for bad in (("+",) * (r + 1), ("w",) * r, ("x",) * r):
         with pytest.raises(KeyError):
             c.index[(state, bad)]
+    # a state is a word of n bits 0 or 1
+    for bad in ((0,), (0, 0, 0), (0, 2), (2, 0), (-1, 1), ()):
+        with pytest.raises(KeyError):
+            c.index[(bad, ("+",) * r)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)

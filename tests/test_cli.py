@@ -370,6 +370,28 @@ def test_oracle_corrupted_sign_mismatch(tmp_path, capsys, monkeypatch):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("d", [braid_closure([1, 1, 1], 2),
+                               braid_tangle([1, -2, 1], 3)],
+                         ids=["closure", "tangle"])
+def test_oracle_compares_ranks_with_the_local_algorithm(tmp_path, capsys,
+                                                        monkeypatch, d):
+    """Raising H^{p,q} and H^{p+1,q} by one keeps the Euler characteristic,
+    so only the comparison with ``local.ranks`` can see it."""
+    def raised(c, **kwargs):
+        h = homology(c, **kwargs)
+        p, q = min(h.ranks)
+        for key in ((p, q), (p + 1, q)):
+            h.ranks[key] = h.rank(*key) + 1
+        return h
+
+    monkeypatch.setattr(cli, "homology", raised)
+    assert main(["oracle", diagram_file(tmp_path, d)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split(":")[1].strip() == out[1].split(":")[1].strip()
+    assert out[2].startswith("local ranks:   differ at (p, q) = ")
+    assert out[-1] == "MISMATCH"
+
+
 def test_persist_arc_to_circle(tmp_path, capsys):
     arc = {"boundary": ["a", "b"], "crossings": [],
            "connections": [["a", "b"]], "free_circles": 0}

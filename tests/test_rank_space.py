@@ -1,11 +1,13 @@
 """The rank-space pass of ``build_complex`` against the Resolution-based
-reference: per state, the component array of ``diagram.walk`` (also as
-kept in ``comps``), (r, t) and the classified ``Edge`` tuples, which act on
-the masks of the diagram without its free circles, must equal what
-``diagram.resolve`` plus the old classifier in ``stored_complex`` give,
-on braid closures and tangles with portless arcs, free circles and kinks,
-on the targets of random saddle sites, and with a flipped edge sign.  Non-planar targets must be
-refused by ``build_complex``."""
+reference: per state number, the component array of ``diagram.walk``
+(also as kept in ``comps``), (r, t), the saddle records of ``edges``,
+which act on the masks of the diagram without its free circles, and the
+target and sign that ``_columns`` derives for each edge must equal what
+``diagram.resolve`` plus the old classifier in ``stored_complex`` give
+for the state's bits, on braid closures and tangles with portless arcs,
+free circles and kinks, on the targets of random saddle sites, and with a
+flipped edge sign.  Non-planar targets must be refused by
+``build_complex``."""
 
 import itertools
 import random
@@ -13,9 +15,9 @@ import random
 import pytest
 
 from tanglekh import complex as cx, diagram as dg
-from tanglekh.algebra import GF2
-from tanglekh.complex import Edge, build_complex, homology
-from tanglekh.cube import saddle
+from tanglekh.algebra import GF2, QQ
+from tanglekh.complex import build_complex, homology
+from tanglekh.cube import bit_table, saddle, state_bits, state_number
 from tanglekh.diagram import resolve, walk
 
 from conftest import (bare_arc, braid_closure, kink_arc, random_braid_diagram,
@@ -44,7 +46,8 @@ def diagrams():
 
 
 def reference(d, sign_flip):
-    """state -> ``StateTable`` of its resolution, and state -> edges; or
+    """state bits -> ``StateTable`` of its resolution, and state bits ->
+    edges (target bits, negative, images, active, terms) by crossing; or
     ValueError when an edge is outside the five local cases."""
     _, rank, _, ports = d.wiring()
     tables = {}
@@ -64,9 +67,27 @@ def reference(d, sign_flip):
                 classify(src, dst, ports[star]), src.bits, dst.bits)
             negative = (sum(state[:star]) % 2 == 1) != \
                 (sign_flip == (state, star))
-            out.append(Edge(target, negative, images, active, terms))
+            out.append((target, negative, images, active, terms))
         edges[state] = tuple(out)
     return tables, edges
+
+
+def columns(c, state, edges):
+    """The columns of ``c`` at the masks of state number ``state``, built
+    from reference edges: each writes its signed local map into the rows
+    of its target state, the free bits k of every mask bystanders."""
+    k = c.free
+    out = []
+    for m in range(1 << c.rt[state][0]):
+        core, free = m >> k, m & ((1 << k) - 1)
+        col = {}
+        for target, negative, images, active, terms in edges:
+            off = c.layout[state_number(target)][1]
+            by = bit_table(images)[core]
+            for t in terms[core & active]:
+                col[off + ((by | t) << k | free)] = -1 if negative else 1
+        out.append(col)
+    return out
 
 
 def test_components_and_edges_match_reference():
@@ -89,14 +110,20 @@ def test_components_and_edges_match_reference():
             tables = reference(d, flip)[0]
             # edges act on the core's masks: free circles are bystanders
             edges = reference(d.with_circles(0), flip)[1]
-            c = negate_edge(build_complex(d), flip)
-            for state, table in tables.items():
+            c = negate_edge(build_complex(d, field=QQ), flip)
+            assert len(c.comps) == len(c.rt) == len(c.edges) == 1 << d.n
+            for state in range(1 << d.n):
+                bits = state_bits(state, d.n)
+                table = tables[bits]
                 comp, order, r = walk(d, state)
                 assert comp == table.comp == list(c.comps[state])
                 assert sorted(order) == list(range(len(comp)))
                 assert c.rt[state] == (table.res.r, table.res.t) == \
                     (r, len(d.boundary) // 2)
-                assert c.edges[state] == edges[state]
+                assert [e[1:] for e in c.edges[state]] == \
+                    [e[2:] for e in edges[bits]]
+                assert list(c._columns(state, range(1 << r))) == \
+                    columns(c, state, edges[bits])
             matched += 1
     assert refused >= 2 and matched >= 40
 
@@ -111,9 +138,10 @@ def test_site_saddles_match_reference():
         rank = d.wiring()[1]
         ports = tuple(rank[x] for x in (a, cc, dd, b))
         t = len(d.boundary) // 2
-        for state in itertools.product((0, 1), repeat=d.n):
-            src, dst = (StateTable(resolve(d, state), rank),
-                        StateTable(resolve(d2, state), rank))
+        for state in range(1 << d.n):
+            bits = state_bits(state, d.n)
+            src, dst = (StateTable(resolve(d, bits), rank),
+                        StateTable(resolve(d2, bits), rank))
             (cs, _, rs), (ct, _, rt) = walk(d, state), walk(d2, state)
             new = ((cs, rs), (ct, rt))
             try:
