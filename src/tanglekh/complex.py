@@ -5,17 +5,16 @@ quantum grading of a generator is p + n_plus - n_minus, plus one for
 each '+' circle and minus one for each '-' circle and each arc.  The
 differential preserves it, so homology is computed per (p, q) block.
 
-No saddle touches a free circle, so C(D ⊔ k·O) = C(D) ⊗ V^{⊗k} (Khovanov,
-arXiv math/9908171): only the core D, the diagram without its free
-circles, is walked, classified and reduced, and D ⊔ k·O gets a view of it
-in which generator i·2^k + f is core generator i with free labels f.
+Free circles are circles of every state like any other: ``diagram.walk``
+numbers them last, so they are the lowest bits of each mask, and every
+saddle carries them as bystanders.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 from math import comb
 from typing import NamedTuple
@@ -32,7 +31,8 @@ class ComplexError(ValueError):
     pass
 
 
-# The largest cube ``build_complex`` lists: 16 crossings, where
+# The largest cube ``build_complex`` lists, as 2^(crossings + free circles):
+# a free circle doubles the generators as a crossing does.  At 16 crossings
 # ``compute --generators`` peaks near 600 MB (3-braid closure, F2 or Q).
 MAX_STATES = 1 << 16
 
@@ -57,9 +57,7 @@ class GradedChainComplex:
     The complex stores per-state data only, and computes the differential
     on demand, one column at a time, by ``_columns``: ``block_columns``
     yields the columns of one block d^p_q, and ``differentials`` is a view
-    of all of d^p.  With k = ``free`` > 0 free circles it is a view of
-    ``core``: it shares the core's edges and component arrays, and its
-    ``rt``, ``layout`` and ``dims`` count the circles, the low mask bits."""
+    of all of d^p."""
 
     functor = "G"   # the only one; Khovanov's on a closed diagram
     diagram: TangleDiagram
@@ -71,18 +69,6 @@ class GradedChainComplex:
     edges: list          # state -> the cube.saddle record of each 0 bit
     dims: dict           # p -> dim C^p
     comps: list          # state -> component of each node rank, as bytes
-    free: int = 0        # k free circles, the lowest k bits of each mask
-    core: object = dc_field(default=None, repr=False, compare=False)
-
-    def with_circles(self, d):
-        """The complex of ``d``, the core's diagram plus k free circles."""
-        core, k = self.core or self, d.free_circles
-        if not k:
-            return core
-        return replace(core, diagram=d, free=k, core=core,
-                       rt=[(r + k, t) for r, t in core.rt],
-                       layout=[(p, off << k) for p, off in core.layout],
-                       dims={p: n << k for p, n in core.dims.items()})
 
     @property
     def degrees(self):
@@ -178,9 +164,8 @@ class GradedChainComplex:
         F_p, so all 1 over F2).  The edge that flips ``bit`` reaches state
         ``state | bit`` with sign -1 to the number of 1s above ``bit``.
         Edges write in crossing order, each in its local map's term order;
-        an edge whose local map is zero is skipped.  Free bits are
-        bystanders."""
-        f, k = self.field, self.free
+        an edge whose local map is zero is skipped."""
+        f = self.field
         signs = (1, f.p - 1 if f.char else -1)
         edges = [(self.layout[state | bit][1], bystanders(images), active,
                   terms, signs[(state >> bit.bit_length()).bit_count() & 1])
@@ -188,12 +173,11 @@ class GradedChainComplex:
                  in zip(zero_bits(state, self.diagram.n), self.edges[state])
                  if any(terms.values())]
         for m in masks:
-            core, free = m >> k, m & ((1 << k) - 1)
             col = {}
             for off, by, active, terms, x in edges:
-                b = off + (by[core] << k | free)   # b | t == b + t
-                for t in terms[core & active]:
-                    col[b + (t << k)] = x
+                b = off + by[m]   # b | t == b + t
+                for t in terms[m & active]:
+                    col[b + t] = x
             yield col
 
     @property
@@ -266,21 +250,24 @@ class _Index(Mapping):
 
 
 def check_cube(d: TangleDiagram, states=True):
-    """ComplexError unless ``d`` is valid, with at most MAX_STATES states
-    when ``states``."""
+    """ComplexError unless ``d`` is valid, with 2^(crossings + free
+    circles) at most MAX_STATES when ``states``."""
     rep = validate(d)
     if not rep.ok:
         raise ComplexError("invalid diagram: " + "; ".join(rep.problems))
-    if states and 1 << d.n > MAX_STATES:
+    size = d.n + d.free_circles
+    if states and 1 << size > MAX_STATES:
+        circles = f" and {d.free_circles} free circles" if d.free_circles \
+            else ""
         raise ComplexError(
-            f"the cube of {d.n} crossings has 2^{d.n} = {1 << d.n:,} "
-            f"states, above the limit of {MAX_STATES:,}")
+            f"the cube of {d.n} crossings{circles} has 2^{size} = "
+            f"{1 << size:,} states, above the limit of {MAX_STATES:,}")
 
 
 def build_complex(d: TangleDiagram, field=GF2) -> GradedChainComplex:
-    """Assemble the cochain complex of ``d``, as a view of its core's.
+    """Assemble the cochain complex of ``d``.
 
-    Each state s < 2^n of the core is walked once into a node -> component
+    Each state s < 2^n is walked once into a node -> component
     array (``diagram.walk``), kept as bytes for the chain maps, and each
     cube edge classified once from the arrays of its two states: edges[s]
     holds the cached ``cube.saddle`` record of each 0 bit.  No column is
@@ -289,12 +276,11 @@ def build_complex(d: TangleDiagram, field=GF2) -> GradedChainComplex:
     every (column, row) entry is a single signed term.
     """
     check_cube(d)
-    core = d.with_circles(0)
-    ports = core.wiring()[3]
+    ports = d.wiring()[3]
     n, t, n_minus = d.n, len(d.boundary) // 2, d.n_minus
     comps, rt, layout, dims, pairs = [], [], [], {}, {}
     for state in range(1 << n):
-        comp, _, r = walk(core, state)
+        comp, _, r = walk(d, state)
         comps.append(bytes(comp) if len(comp) <= 256 else tuple(comp))
         rt.append(pairs.setdefault(r, (r, t)))   # one tuple per distinct r
         p = state.bit_count() - n_minus
@@ -307,9 +293,8 @@ def build_complex(d: TangleDiagram, field=GF2) -> GradedChainComplex:
                    for b in zero_bits(s, n)) for s in range(1 << n)]
 
     return GradedChainComplex(
-        diagram=core, field=field, n_plus=d.n_plus, n_minus=d.n_minus,
-        rt=rt, layout=layout, edges=edges, dims=dims,
-        comps=comps).with_circles(d)
+        diagram=d, field=field, n_plus=d.n_plus, n_minus=d.n_minus,
+        rt=rt, layout=layout, edges=edges, dims=dims, comps=comps)
 
 
 def verify_d_squared(c: GradedChainComplex):
@@ -357,13 +342,9 @@ class BigradedHomology:
     ranks: dict            # (p, q) -> rank
     representatives: dict  # (p, q) -> list of chain vectors at degree p
     complex: GradedChainComplex = dc_field(repr=False, default=None)
-    # (p, q) -> the echelon of the core's im d^{p-1}_q, where H^{p,q} != 0
+    # (p, q) -> the echelon of im d^{p-1}_q, where H^{p,q} != 0
     echelons: dict = dc_field(repr=False, compare=False, default_factory=dict)
-    # the homology of the core, which ``classes`` solves in (None on a core)
-    core: object = dc_field(default=None, repr=False, compare=False)
-    # (p, q) -> {(f, k): the index of core representative k ⊗ e_f}
-    slots: dict = dc_field(repr=False, compare=False, default_factory=dict)
-    # the (p, q) whose echelon ``_solve`` has added the representatives to
+    # the (p, q) whose echelon ``classes`` has added the representatives to
     _joined: set = dc_field(init=False, repr=False, compare=False,
                             default_factory=set)
 
@@ -377,57 +358,16 @@ class BigradedHomology:
     def degrees(self):
         return sorted({p for (p, _) in self.ranks})
 
-    def tensor(self, c):
-        """The homology of ``c``, the core complex plus k free circles: core
-        block (p, q) and free labels f give block (p, q + k - 2|f|), whose
-        representatives z ⊗ e_f are listed by highest index, the order in
-        which eliminating the whole block finds them."""
-        core, k = self.core or self, c.free
-        ranks, reps = {}, {}
-        for (p, qc), r in core.ranks.items():
-            zs = core.representatives.get((p, qc), ())
-            for f in range(1 << k):
-                b = (p, qc + k - 2 * f.bit_count())
-                ranks[b] = ranks.get(b, 0) + r
-                reps.setdefault(b, []).extend(
-                    (max(z) << k | f, f, j,
-                     {i << k | f: x for i, x in z.items()} if k else z)
-                    for j, z in enumerate(zs))
-        order = [(p, q) for p in c.degrees for q in c.block_sizes(p)
-                 if (p, q) in ranks]
-        reps = {b: sorted(reps[b]) for b in order if reps[b]}   # keys differ
-        slots = {b: {x[1:3]: n for n, x in enumerate(zs)}
-                 for b, zs in reps.items()}
-        return BigradedHomology(
-            field=core.field, n_plus=core.n_plus, n_minus=core.n_minus,
-            ranks={b: ranks[b] for b in order}, complex=c, core=core,
-            representatives={b: [x[3] for x in zs] for b, zs in reps.items()},
-            echelons=core.echelons, slots=slots)
-
     def classes(self, p, q, z):
         """Coordinates {k: coefficient} on ``representatives[(p, q)]`` of
         the class of the cocycle ``z`` {index: coefficient} of block (p, q);
         {} where z or H^{p,q} is 0.  Raises ValueError when z is not a
-        cocycle.  Each slice z_f ⊗ e_f of z, f its low k bits, is solved in
-        the core's block (p, q - k + 2|f|)."""
-        k, core, slices, out = self.complex.free, self.core or self, {}, {}
-        for i, x in z.items():
-            slices.setdefault(i & ((1 << k) - 1), {})[i >> k] = x
-        for f, zf in slices.items():
-            coords = core._solve(p, q - k + 2 * f.bit_count(), zf)
-            if coords is None:
-                raise ValueError(f"not a cocycle at (p, q) = ({p}, {q})")
-            out.update((self.slots[(p, q)][(f, j)], x)
-                       for j, x in coords.items())
-        return out
-
-    def _solve(self, p, q, z):
-        """``classes`` on a core, None where z is not a cocycle; where
-        H^{p,q} = 0 that is checked by applying d^p.  Representative k
-        joins the kept echelon as coordinate k."""
+        cocycle; where H^{p,q} = 0 that is checked by applying d^p.
+        Representative k joins the kept echelon as coordinate k."""
         if not self.rank(p, q):
-            return None if linalg.matvec(self.complex.differentials[p], z,
-                                         self.field) else {}
+            if linalg.matvec(self.complex.differentials[p], z, self.field):
+                raise ValueError(f"not a cocycle at (p, q) = ({p}, {q})")
+            return {}
         if (p, q) not in self.echelons:
             raise ValueError("homology was computed without representatives")
         red, own = self.echelons[(p, q)], len(self.representatives[(p, q)])
@@ -437,7 +377,7 @@ class BigradedHomology:
                 red.add(red.load(rep, k))
         v = red.reduce(red.load(z, own))
         if not red.is_zero(v):
-            return None
+            raise ValueError(f"not a cocycle at (p, q) = ({p}, {q})")
         coords, f = red.coords(v), self.field
         # 0 = s*z + sum_k c_k rep_k modulo the image of d^{p-1}
         factor = f.neg(f.inv(coords.pop(own)))
@@ -454,14 +394,8 @@ class BigradedHomology:
 
 
 def homology(c: GradedChainComplex, representatives=True) -> BigradedHomology:
-    """Bigraded homology ranks, with cocycle representatives on request:
-    the core is reduced by ``_reduce``, and the result expanded over the
-    free circles by ``BigradedHomology.tensor``."""
-    return _reduce(c.core or c, representatives).tensor(c)
-
-
-def _reduce(c: GradedChainComplex, representatives) -> BigradedHomology:
-    """The homology of a core complex, its blocks in no particular order.
+    """Bigraded homology ranks, with cocycle representatives on request,
+    both in block order: by p, then q as in ``c.block_sizes(p)``.
 
     Rank first: dim H^{p,q} = dim C^{p,q} - rk d^p_q - rk d^{p-1}_q, each
     block d^p_q streamed from ``c.block_columns`` and eliminated once,
@@ -495,9 +429,12 @@ def _reduce(c: GradedChainComplex, representatives) -> BigradedHomology:
                     reps[(p, q)] = _cocycles(f, live)
                     echelons[(p, q)] = image or linalg.reducer(f)
             skip, image = red.pivot_rows(), red if representatives else None
+    order = [(p, q) for p, s in sizes.items() for q in s if (p, q) in ranks]
     return BigradedHomology(
-        field=f, n_plus=c.n_plus, n_minus=c.n_minus, ranks=ranks,
-        representatives=reps, complex=c, echelons=echelons)
+        field=f, n_plus=c.n_plus, n_minus=c.n_minus,
+        ranks={b: ranks[b] for b in order},
+        representatives={b: reps[b] for b in order if b in reps},
+        complex=c, echelons=echelons)
 
 
 def _cocycles(f, live):

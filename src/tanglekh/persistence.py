@@ -13,8 +13,8 @@ demand, as the differential is.
 cube: runs of identity, cap, cup and closure steps that leave D° (the
 diagram without its portless arcs and free circles) in place, and runs of
 two grades joined by one saddle.  Every other run goes to the cube, which
-builds and reduces each distinct core once, with representatives only
-where a chain map reads them, and gives each grade a view of it.
+builds and reduces each distinct diagram once, with representatives only
+where a chain map reads them.
 """
 
 from __future__ import annotations
@@ -579,23 +579,17 @@ class Filtration:
         # every diagram is checked before any cube is built
         for d in dict.fromkeys(self.diagrams):
             check_cube(d, states=d in sized)
-        # chain maps read the representatives of these cores, and of the
-        # crossingless cubes of W, where they cost nothing
-        read = {d.with_circles(0) for ds in on_cube if len(ds) > 1 for d in ds}
+        # chain maps read the representatives of these diagrams, and of
+        # the crossingless cubes of W, where they cost nothing
+        read = {d for ds in on_cube if len(ds) > 1 for d in ds}
         built = {}
 
         def grade(d):
-            """(complex, homology) of ``d``; its core is built and reduced
-            once."""
-            core = d.with_circles(0)
-            if core not in built:
-                c = build_complex(core, field=self.field)
-                built[core] = (c, homology(c, representatives=core in read
-                                           or not core.n))
+            """(complex, homology) of ``d``, built and reduced once."""
             if d not in built:
-                c, h = built[core]
-                view = c.with_circles(d)
-                built[d] = (view, h.tensor(view))
+                c = build_complex(d, field=self.field)
+                built[d] = (c, homology(c, representatives=d in read
+                                        or not d.n))
             return built[d]
 
         self._runs = [local[a](grade) if local[a] else self._on_cube(

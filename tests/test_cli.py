@@ -303,24 +303,29 @@ def run_capped(argv):
 
 
 def test_cube_too_large_exit_2(tmp_path):
-    """The closure of sigma_1^30 on 2 strands has a cube of 2^30 states.
-    The commands that build the cube exit 2 within 2 s, naming its size;
-    rank-only ``compute`` builds none and answers.  Each runs in a child
-    under an address-space limit, so a cube listed anyway ends in a
-    MemoryError instead of taking the machine's memory."""
-    d = braid_closure([1] * 30, 2)
-    path = diagram_file(tmp_path, d)
-    filt = write_json(tmp_path / "f.json",
-                      {"grades": [0], "diagrams": [d.to_json()]})
-    for argv in (["compute", path, "--generators"], ["oracle", path],
-                 ["persist", filt]):
-        done, seconds = run_capped(argv)
-        assert done.returncode == 2, (argv, done.stderr)
-        assert "2^30 = 1,073,741,824 states" in done.stderr
-        assert seconds < 2, (argv, seconds)
-    done, _ = run_capped(["compute", path])
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout)["ranks"]
+    """The closure of sigma_1^30 on 2 strands has a cube of 2^30 states,
+    and a 15-crossing closure plus 2 free circles counts as 2^17: each
+    free circle doubles the generators, as a crossing does.  The commands
+    that build the cube exit 2 within 2 s, naming its size; rank-only
+    ``compute`` builds none and answers.  Each runs in a child under an
+    address-space limit, so a cube listed anyway ends in a MemoryError
+    instead of taking the machine's memory."""
+    for d, size in (
+            (braid_closure([1] * 30, 2), "2^30 = 1,073,741,824 states"),
+            (braid_closure(([1, 1, 1, 2, 2, 2] * 3)[:15], 3).with_circles(2),
+             "15 crossings and 2 free circles has 2^17 = 131,072 states")):
+        path = diagram_file(tmp_path, d)
+        filt = write_json(tmp_path / "f.json",
+                          {"grades": [0], "diagrams": [d.to_json()]})
+        for argv in (["compute", path, "--generators"], ["oracle", path],
+                     ["persist", filt]):
+            done, seconds = run_capped(argv)
+            assert done.returncode == 2, (argv, done.stderr)
+            assert size in done.stderr
+            assert seconds < 2, (argv, seconds)
+        done, _ = run_capped(["compute", path])
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["ranks"]
 
 
 def test_filtration_checks_every_grade_before_building_any(tmp_path, capsys,

@@ -393,10 +393,11 @@ def test_cap_cup_filtration_builds_each_complex_once(monkeypatch):
     filt = Filtration(grades=[0, 1, 2], diagrams=[d, up, d],
                       steps=[{"kind": "cap"}, {"kind": "cup"}], field=QQ)
     rows = filt.barcode_report()
-    # the maps act on the free circle alone: only its crossingless cube
-    assert built == [TangleDiagram()]
+    # the maps act on the free circle alone: only W's crossingless cubes,
+    # one per distinct W
+    assert built == [TangleDiagram(), TangleDiagram(free_circles=1)]
     assert on_cube(filt).barcode_report() == rows
-    assert built[1:] == [d]   # up is d plus a free circle: a view of d's cube
+    assert built[2:] == [d, up]   # one plain cube per distinct diagram
     c = build_complex(d, field=QQ)
     with pytest.raises(MorphismError, match="cap target mismatch"):
         cap_map(c, dst=c)

@@ -1,8 +1,8 @@
 """The rank-space pass of ``build_complex`` against the Resolution-based
 reference: per state number, the component array of ``diagram.walk``
 (also as kept in ``comps``), (r, t), the saddle records of ``edges``,
-which act on the masks of the diagram without its free circles, and the
-target and sign that ``_columns`` derives for each edge must equal what
+which carry free circles as bystanders, the lowest bits, and the target
+and sign that ``_columns`` derives for each edge must equal what
 ``diagram.resolve`` plus the old classifier in ``stored_complex`` give
 for the state's bits, on braid closures and tangles with portless arcs,
 free circles and kinks, on the targets of random saddle sites, and with a
@@ -75,17 +75,15 @@ def reference(d, sign_flip):
 def columns(c, state, edges):
     """The columns of ``c`` at the masks of state number ``state``, built
     from reference edges: each writes its signed local map into the rows
-    of its target state, the free bits k of every mask bystanders."""
-    k = c.free
+    of its target state."""
     out = []
     for m in range(1 << c.rt[state][0]):
-        core, free = m >> k, m & ((1 << k) - 1)
         col = {}
         for target, negative, images, active, terms in edges:
             off = c.layout[state_number(target)][1]
-            by = bit_table(images)[core]
-            for t in terms[core & active]:
-                col[off + ((by | t) << k | free)] = -1 if negative else 1
+            by = bit_table(images)[m]
+            for t in terms[m & active]:
+                col[off + (by | t)] = -1 if negative else 1
         out.append(col)
     return out
 
@@ -107,9 +105,7 @@ def test_components_and_edges_match_reference():
                 refused += 1
                 continue
             # a planar wiring stays within the five local cases
-            tables = reference(d, flip)[0]
-            # edges act on the core's masks: free circles are bystanders
-            edges = reference(d.with_circles(0), flip)[1]
+            tables, edges = reference(d, flip)
             c = negate_edge(build_complex(d, field=QQ), flip)
             assert len(c.comps) == len(c.rt) == len(c.edges) == 1 << d.n
             for state in range(1 << d.n):
